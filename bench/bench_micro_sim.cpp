@@ -6,9 +6,11 @@
 #include <functional>
 
 #include "cdsf/paper_example.hpp"
+#include "dls/adaptive.hpp"
 #include "ra/heuristics.hpp"
 #include "sim/engine.hpp"
 #include "sim/loop_executor.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -68,6 +70,44 @@ void BM_EventEngineThroughput(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 10000);
 }
 BENCHMARK(BM_EventEngineThroughput);
+
+// Per-replication RNG cost: every simulated run builds 1 + 2P streams
+// (run, worker and availability) and most draw only a few dozen words, so
+// set-up is a large share of a stream's cost.
+void BM_RngStreamSetup(benchmark::State& state) {
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    util::RngStream rng(seed++);
+    double sum = 0.0;
+    for (int i = 0; i < 64; ++i) sum += rng.uniform01();
+    benchmark::DoNotOptimize(sum);
+  }
+}
+BENCHMARK(BM_RngStreamSetup);
+
+// AF's per-chunk cost once every worker is measured: the bisection for the
+// batch target time over all workers' (mu, sigma) estimates.
+void BM_AfNextChunk(benchmark::State& state) {
+  constexpr std::size_t kWorkers = 8;
+  dls::TechniqueParams params;
+  params.workers = kWorkers;
+  params.total_iterations = 100000;
+  dls::AdaptiveFactoring technique(params);
+  for (std::size_t w = 0; w < kWorkers; ++w) {
+    for (int c = 1; c <= 3; ++c) {
+      const double per_iteration = 1.0 + 0.25 * static_cast<double>(w) + 0.1 * c;
+      technique.record(dls::ChunkResult{w, 100, 100.0 * per_iteration, 100.0 * per_iteration});
+    }
+  }
+  std::int64_t remaining = params.total_iterations;
+  std::size_t worker = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(technique.next_chunk(dls::SchedulingContext{remaining, worker, 0.0}));
+    worker = (worker + 1) % kWorkers;
+    remaining = remaining > 1000 ? remaining - 7 : params.total_iterations;
+  }
+}
+BENCHMARK(BM_AfNextChunk);
 
 }  // namespace
 

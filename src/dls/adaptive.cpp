@@ -139,13 +139,27 @@ AdaptiveFactoring::AdaptiveFactoring(const TechniqueParams& params)
   validate_params(params);
 }
 
-double AdaptiveFactoring::chunk_for_target(double mu, double sigma, double target) {
+namespace {
+
+void check_estimate(double mu, double sigma) {
   if (!(mu > 0.0)) throw std::invalid_argument("chunk_for_target: mu must be > 0");
   if (sigma < 0.0) throw std::invalid_argument("chunk_for_target: sigma must be >= 0");
+}
+
+/// K_j(T) for an already checked (mu, sigma). The expression order is fixed:
+/// AF's chunk sizes depend on its last bit.
+double chunk_for_checked(double mu, double sigma, double target) {
   if (target <= 0.0) return 0.0;
   const double s2 = sigma * sigma;
   return (s2 + 2.0 * mu * target - sigma * std::sqrt(s2 + 4.0 * mu * target)) /
          (2.0 * mu * mu);
+}
+
+}  // namespace
+
+double AdaptiveFactoring::chunk_for_target(double mu, double sigma, double target) {
+  check_estimate(mu, sigma);
+  return chunk_for_checked(mu, sigma, target);
 }
 
 std::int64_t AdaptiveFactoring::next_chunk(const SchedulingContext& ctx) {
@@ -166,16 +180,13 @@ std::int64_t AdaptiveFactoring::next_chunk(const SchedulingContext& ctx) {
 
   // Collect (mu, sigma) for all workers with data; others contribute the
   // bootstrap share to the batch budget.
-  struct Estimate {
-    double mu;
-    double sigma;
-  };
-  std::vector<Estimate> estimates;
-  estimates.reserve(workers_);
+  estimates_.clear();
   double unknown_share = 0.0;
   for (const auto& summary : measured_) {
     if (!summary.empty() && summary.mean() > 0.0) {
-      estimates.push_back({summary.mean(), summary.stddev()});
+      const Estimate e{summary.mean(), summary.stddev()};
+      check_estimate(e.mu, e.sigma);
+      estimates_.push_back(e);
     } else {
       unknown_share += batch / p;
     }
@@ -185,7 +196,7 @@ std::int64_t AdaptiveFactoring::next_chunk(const SchedulingContext& ctx) {
   // Find target time T with sum_j K_j(T) = budget (monotone in T).
   auto total_chunks = [&](double target) {
     double sum = 0.0;
-    for (const Estimate& e : estimates) sum += chunk_for_target(e.mu, e.sigma, target);
+    for (const Estimate& e : estimates_) sum += chunk_for_checked(e.mu, e.sigma, target);
     return sum;
   };
   double hi = own.mean() * budget + own.stddev() * std::sqrt(budget) + 1.0;
@@ -193,6 +204,10 @@ std::int64_t AdaptiveFactoring::next_chunk(const SchedulingContext& ctx) {
   double lo = 0.0;
   for (int i = 0; i < 100; ++i) {
     const double mid = 0.5 * (lo + hi);
+    // Adjacent doubles (after ~55-60 steps): every further step either
+    // keeps (lo, hi) or collapses it onto mid, so the target below is mid
+    // either way.
+    if (mid == lo || mid == hi) break;
     if (total_chunks(mid) < budget) {
       lo = mid;
     } else {

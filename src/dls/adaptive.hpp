@@ -89,6 +89,12 @@ class AdaptiveFactoring final : public Technique {
   std::size_t workers_;
   std::vector<double> bootstrap_weights_;       // availability-seeded, mean 1
   std::vector<stats::OnlineSummary> measured_;  // per-worker chunk-mean iteration times
+
+  struct Estimate {
+    double mu;
+    double sigma;
+  };
+  std::vector<Estimate> estimates_;  // next_chunk scratch, reused across calls
 };
 
 }  // namespace cdsf::dls

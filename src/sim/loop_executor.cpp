@@ -155,7 +155,7 @@ RunResult run_ideal_loop(const workload::Application& application, const SimConf
     bool done = false;     // a winner finished, or the range went back
     bool probe = false;    // canary chunk sent to a quarantined worker
   };
-  std::vector<std::unique_ptr<Task>> tasks;         // stable addresses
+  std::deque<Task> tasks;                           // stable addresses
   std::vector<Task*> running(processors, nullptr);  // copy hosted on worker w
   std::deque<Task*> stragglers;  // flagged tasks awaiting an idle worker
   std::int64_t completed_iterations = 0;
@@ -442,8 +442,7 @@ RunResult run_ideal_loop(const workload::Application& application, const SimConf
     const bool lost =
         dispatch_time < workers[w].crash_time && end_time > workers[w].crash_time;
 
-    tasks.push_back(std::make_unique<Task>());
-    Task* task = tasks.back().get();
+    Task* task = &tasks.emplace_back();
     task->range = range;
     task->probe = is_probe;
     task->primary = Copy{w, !lost, lost, dispatch_time, start_time, Engine::kNoEvent, -1};

@@ -202,10 +202,9 @@ double TraceAvailability::availability_at(double t) {
 }
 
 double TraceAvailability::next_change_after(double t) {
-  for (double tp : time_points_) {
-    if (tp > t) return tp;
-  }
-  return kInfinity;
+  // First step start strictly after t (times are strictly increasing).
+  const auto next = std::upper_bound(time_points_.begin(), time_points_.end(), t);
+  return next == time_points_.end() ? kInfinity : *next;
 }
 
 DiurnalAvailability::DiurnalAvailability(double mean, double amplitude, double period,

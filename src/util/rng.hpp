@@ -7,6 +7,8 @@
 // and the whole experiment is reproducible from a single 64-bit value.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <random>
 
@@ -14,7 +16,7 @@ namespace cdsf::util {
 
 /// SplitMix64: tiny, high-quality 64-bit mixer (Steele, Lea, Flood 2014).
 /// Used both as a stand-alone generator for seed fan-out and to whiten
-/// user-provided seeds before they reach std::mt19937_64.
+/// user-provided seeds before they reach the Mersenne Twister.
 class SplitMix64 {
  public:
   explicit constexpr SplitMix64(std::uint64_t seed) noexcept : state_(seed) {}
@@ -31,15 +33,102 @@ class SplitMix64 {
   std::uint64_t state_;
 };
 
-/// A seeded random stream. Thin wrapper over std::mt19937_64 exposing the
-/// UniformRandomBitGenerator interface plus convenience draws.
+/// MT19937-64 that yields exactly std::mt19937_64's word sequence for the
+/// same seed, but builds its first generation lazily. The standard engine
+/// seeds all 312 state words and twists them all before the first draw;
+/// most simulation streams draw only a few dozen words, so this engine
+/// seeds and twists the first generation block by block as draws reach
+/// it. From word 312 on it twists whole generations like the standard
+/// engine. Same size as std::mt19937_64.
+class LazyMt19937_64 {
+ public:
+  using result_type = std::uint64_t;
+
+  explicit LazyMt19937_64(result_type seed) noexcept { x_[0] = seed; }
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  result_type operator()() noexcept {
+    if (index_ >= ready_) refill();
+    result_type z = x_[index_++];
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
+    z ^= (z << 37) & 0xFFF7EEE000000000ULL;
+    return z ^ (z >> 43);
+  }
+
+ private:
+  static constexpr std::uint32_t kN = 312;     // state words
+  static constexpr std::uint32_t kM = 156;     // twist offset
+  static constexpr std::uint32_t kBlock = 16;  // lazy first-generation step
+
+  /// Makes the next words of the current generation ready: the next block
+  /// while the first generation is being built, else a whole generation.
+  void refill() noexcept {
+    if (ready_ == kN) {
+      twist(0, kN);
+      index_ = 0;
+      return;
+    }
+    const std::uint32_t end = std::min(ready_ + kBlock, kN);
+    // Twisting word k < kM reads the seed words k + 1 and k + kM; words
+    // from kM on read seed words up to kN - 1.
+    seed_through(std::min(end + kM, kN));
+    twist(ready_, end);
+    ready_ = static_cast<std::uint16_t>(end);
+  }
+
+  /// Runs the standard seeding recurrence up to (not including) word `end`.
+  void seed_through(std::uint32_t end) noexcept {
+    if (end <= seeded_) return;
+    // The recurrence is one serial chain; carrying the previous word in a
+    // register keeps a store-to-load round trip off it.
+    result_type prev = x_[seeded_ - 1];
+    for (std::uint32_t i = seeded_; i < end; ++i) {
+      prev = 6364136223846793005ULL * (prev ^ (prev >> 62)) + i;
+      x_[i] = prev;
+    }
+    seeded_ = static_cast<std::uint16_t>(end);
+  }
+
+  /// Twists state words [begin, end) in place, in the standard order.
+  void twist(std::uint32_t begin, std::uint32_t end) noexcept {
+    constexpr result_type kUpper = ~result_type{0} << 31;
+    constexpr result_type kLower = ~kUpper;
+    auto mix = [](result_type cur, result_type next, result_type far) {
+      const result_type y = (cur & kUpper) | (next & kLower);
+      // Branch-free: the low bit is a coin flip, so a branch mispredicts.
+      return far ^ (y >> 1) ^ ((0 - (y & 1U)) & 0xB5026F5AA96619E9ULL);
+    };
+    std::uint32_t k = begin;
+    for (const std::uint32_t stop = std::min(end, kN - kM); k < stop; ++k) {
+      x_[k] = mix(x_[k], x_[k + 1], x_[k + kM]);
+    }
+    for (const std::uint32_t stop = std::min(end, kN - 1); k < stop; ++k) {
+      x_[k] = mix(x_[k], x_[k + 1], x_[k - (kN - kM)]);
+    }
+    if (k < end) x_[kN - 1] = mix(x_[kN - 1], x_[0], x_[kM - 1]);
+  }
+
+  std::array<result_type, kN> x_{};  // zeroed: copies never read unset words
+  std::uint32_t index_ = 0;          // next word of the generation to temper
+  std::uint16_t ready_ = 0;          // words of the current generation twisted
+  std::uint16_t seeded_ = 1;         // first-generation seed words computed
+};
+
+static_assert(sizeof(LazyMt19937_64) == sizeof(std::mt19937_64));
+
+/// A seeded random stream: a LazyMt19937_64 (sequence-identical to
+/// std::mt19937_64) exposing the UniformRandomBitGenerator interface plus
+/// convenience draws.
 class RngStream {
  public:
   explicit RngStream(std::uint64_t seed) : engine_(whiten(seed)) {}
 
-  using result_type = std::mt19937_64::result_type;
-  static constexpr result_type min() { return std::mt19937_64::min(); }
-  static constexpr result_type max() { return std::mt19937_64::max(); }
+  using result_type = LazyMt19937_64::result_type;
+  static constexpr result_type min() { return LazyMt19937_64::min(); }
+  static constexpr result_type max() { return LazyMt19937_64::max(); }
   result_type operator()() { return engine_(); }
 
   /// Uniform double in [0, 1).
@@ -67,13 +156,13 @@ class RngStream {
     return std::normal_distribution<double>(mean, stddev)(engine_);
   }
 
-  std::mt19937_64& engine() noexcept { return engine_; }
+  LazyMt19937_64& engine() noexcept { return engine_; }
 
  private:
   static std::uint64_t whiten(std::uint64_t seed) {
     return SplitMix64(seed).next();
   }
-  std::mt19937_64 engine_;
+  LazyMt19937_64 engine_;
 };
 
 /// Deterministic fan-out of one master seed into independent child seeds.

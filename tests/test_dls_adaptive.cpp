@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "dls/adaptive.hpp"
+#include "util/rng.hpp"
 
 namespace cdsf::dls {
 namespace {
@@ -254,6 +257,138 @@ TEST(Af, NeverExceedsRemaining) {
   const std::int64_t chunk = technique.next_chunk(ctx(7, 0));
   EXPECT_GE(chunk, 1);
   EXPECT_LE(chunk, 7);
+}
+
+// ------------------------------------------------- AF differential test --
+
+// AF exactly as it was with a fixed 100-step bisection and per-call
+// estimate allocation: the oracle for the early-exit next_chunk. The body
+// of next_chunk is a verbatim copy; record() mirrors AdaptiveFactoring's.
+class ReferenceAf {
+ public:
+  explicit ReferenceAf(const TechniqueParams& params)
+      : workers_(params.workers),
+        bootstrap_weights_(normalized_weights(params)),
+        measured_(params.workers) {}
+
+  void record(const ChunkResult& result) {
+    if (result.iterations <= 0 || result.execution_time <= 0.0) return;
+    measured_[result.worker].add(result.execution_time / static_cast<double>(result.iterations));
+  }
+
+  std::int64_t next_chunk(const SchedulingContext& ctx) {
+    const auto p = static_cast<double>(workers_);
+    const double batch = std::max(1.0, static_cast<double>(ctx.remaining_iterations) * 0.5);
+
+    const stats::OnlineSummary& own = measured_.at(ctx.worker);
+    if (own.empty() || own.mean() <= 0.0) {
+      // No measurements yet: AF's only runtime information is the current
+      // system state, so the bootstrap chunk is the factoring share scaled by
+      // the worker's observed availability (params.weights, filled by the
+      // executor). An unloaded-uniform group degrades to the plain R/(2P).
+      const double share = (batch / p) * bootstrap_weights_.at(ctx.worker);
+      const std::int64_t bootstrap =
+          std::max<std::int64_t>(1, static_cast<std::int64_t>(std::llround(share)));
+      return clamp_chunk(bootstrap, ctx.remaining_iterations);
+    }
+
+    // Collect (mu, sigma) for all workers with data; others contribute the
+    // bootstrap share to the batch budget.
+    struct Estimate {
+      double mu;
+      double sigma;
+    };
+    std::vector<Estimate> estimates;
+    estimates.reserve(workers_);
+    double unknown_share = 0.0;
+    for (const auto& summary : measured_) {
+      if (!summary.empty() && summary.mean() > 0.0) {
+        estimates.push_back({summary.mean(), summary.stddev()});
+      } else {
+        unknown_share += batch / p;
+      }
+    }
+    const double budget = std::max(1.0, batch - unknown_share);
+
+    // Find target time T with sum_j K_j(T) = budget (monotone in T).
+    auto total_chunks = [&](double target) {
+      double sum = 0.0;
+      for (const Estimate& e : estimates) {
+        sum += AdaptiveFactoring::chunk_for_target(e.mu, e.sigma, target);
+      }
+      return sum;
+    };
+    double hi = own.mean() * budget + own.stddev() * std::sqrt(budget) + 1.0;
+    for (int i = 0; i < 128 && total_chunks(hi) < budget; ++i) hi *= 2.0;
+    double lo = 0.0;
+    for (int i = 0; i < 100; ++i) {
+      const double mid = 0.5 * (lo + hi);
+      if (total_chunks(mid) < budget) {
+        lo = mid;
+      } else {
+        hi = mid;
+      }
+    }
+    const double target = 0.5 * (lo + hi);
+    const auto chunk = static_cast<std::int64_t>(
+        std::llround(AdaptiveFactoring::chunk_for_target(own.mean(), own.stddev(), target)));
+    return clamp_chunk(chunk, ctx.remaining_iterations);
+  }
+
+ private:
+  std::size_t workers_;
+  std::vector<double> bootstrap_weights_;
+  std::vector<stats::OnlineSummary> measured_;
+};
+
+TEST(Af, EarlyExitBisectionMatchesFixedHundredSteps) {
+  util::RngStream rng(20120521);
+  constexpr int kStates = 100000;
+  int measured_requests = 0;
+  for (int state = 0; state < kStates; ++state) {
+    // Mostly small groups (the paper's sizes), up to 64 workers.
+    const auto workers = static_cast<std::size_t>(
+        rng.uniform01() < 0.75 ? rng.uniform_int(1, 8) : rng.uniform_int(9, 64));
+    TechniqueParams p = params(workers, 1000000);
+    if (rng.uniform01() < 0.3) {
+      for (std::size_t w = 0; w < workers; ++w) p.weights.push_back(rng.uniform(0.1, 1.0));
+    }
+    AdaptiveFactoring technique(p);
+    ReferenceAf reference(p);
+    const double unmeasured_share = rng.uniform01() < 0.5 ? 0.0 : rng.uniform(0.0, 0.6);
+    for (std::size_t w = 0; w < workers; ++w) {
+      if (rng.uniform01() < unmeasured_share) continue;
+      // Per-iteration times span four orders of magnitude; one in five
+      // workers is perfectly steady (sigma = 0).
+      const double mu = std::exp(rng.uniform(std::log(1e-3), std::log(10.0)));
+      const bool steady = rng.uniform01() < 0.2;
+      const auto chunks = rng.uniform_int(1, 6);
+      for (std::int64_t c = 0; c < chunks; ++c) {
+        const std::int64_t iterations = rng.uniform_int(1, 5000);
+        const double per_iteration = steady ? mu : mu * rng.uniform(0.2, 3.0);
+        const ChunkResult result =
+            chunk_result(w, iterations, per_iteration, rng.uniform(0.0, 1.0));
+        technique.record(result);
+        reference.record(result);
+      }
+    }
+    // Several requests per state, so the reused scratch buffer sees
+    // different callers.
+    for (int request = 0; request < 3; ++request) {
+      const auto remaining = static_cast<std::int64_t>(
+          std::llround(std::exp(rng.uniform(0.0, std::log(1e6)))));
+      const auto worker = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(workers) - 1));
+      const SchedulingContext context = ctx(remaining, worker);
+      const std::int64_t expected = reference.next_chunk(context);
+      ASSERT_EQ(technique.next_chunk(context), expected)
+          << "state " << state << ", request " << request << ", workers " << workers
+          << ", remaining " << remaining << ", worker " << worker;
+      if (technique.estimated_iteration_time(worker) > 0.0) ++measured_requests;
+    }
+  }
+  // The bisection path, not only the bootstrap one, was exercised.
+  EXPECT_GT(measured_requests, kStates);
 }
 
 }  // namespace

@@ -212,6 +212,41 @@ TEST(Trace, StepsAtGivenTimes) {
   EXPECT_TRUE(std::isinf(trace.next_change_after(20.0)));
 }
 
+TEST(Trace, NextChangeAfterBoundaries) {
+  TraceAvailability trace({0.0, 10.0, 20.0}, {1.0, 0.5, 0.25});
+  // Before the first point: the first point itself is the next change.
+  EXPECT_EQ(trace.next_change_after(-1.0), 0.0);
+  // Exactly on a point: the change strictly after it.
+  EXPECT_EQ(trace.next_change_after(0.0), 10.0);
+  EXPECT_EQ(trace.next_change_after(10.0), 20.0);
+  EXPECT_EQ(trace.next_change_after(std::nextafter(10.0, 0.0)), 10.0);
+  EXPECT_EQ(trace.next_change_after(15.0), 20.0);
+  // On and after the last point: no further change.
+  EXPECT_TRUE(std::isinf(trace.next_change_after(20.0)));
+  EXPECT_TRUE(std::isinf(trace.next_change_after(1e12)));
+}
+
+TEST(Trace, NextChangeAfterMatchesLinearScan) {
+  std::vector<double> times;
+  std::vector<double> values;
+  for (int i = 0; i < 200; ++i) {
+    times.push_back(static_cast<double>(i) * 1.5 + (i % 3 == 0 ? 0.0 : 0.25));
+    values.push_back(i % 2 == 0 ? 1.0 : 0.5);
+  }
+  times.front() = 0.0;
+  TraceAvailability trace(times, values);
+  for (double t = -1.0; t < 310.0; t += 0.125) {
+    double expected = std::numeric_limits<double>::infinity();
+    for (double tp : times) {
+      if (tp > t) {
+        expected = tp;
+        break;
+      }
+    }
+    EXPECT_EQ(trace.next_change_after(t), expected) << "t = " << t;
+  }
+}
+
 TEST(Trace, FinishTimeCrossesSteps) {
   TraceAvailability trace({0.0, 10.0}, {1.0, 0.5});
   // 15 units of work: 10 delivered in [0, 10], remaining 5 at rate 0.5.

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <random>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "util/cli.hpp"
 #include "util/csv.hpp"
@@ -63,6 +66,90 @@ TEST(RngStream, NormalMeanApproximatelyCorrect) {
   constexpr int kDraws = 20000;
   for (int i = 0; i < kDraws; ++i) sum += rng.normal(10.0, 2.0);
   EXPECT_NEAR(sum / kDraws, 10.0, 0.1);
+}
+
+// ---------------------------------------------------- LazyMt19937_64 --
+
+// RngStream's engine must stay sequence-identical to std::mt19937_64:
+// seeds, reports and recorded baselines all assume its words.
+using StdMt19937_64 = std::mt19937_64;  // cdsf-lint: allow(rng-source)
+
+std::vector<std::uint64_t> reference_seeds() {
+  std::vector<std::uint64_t> seeds = {0, 1, 5489, ~std::uint64_t{0}};
+  SplitMix64 mixer(2012);
+  for (int i = 0; i < 1000; ++i) seeds.push_back(mixer.next());
+  return seeds;
+}
+
+std::vector<std::uint64_t> reference_words(std::uint64_t seed, std::size_t count) {
+  StdMt19937_64 reference(seed);
+  std::vector<std::uint64_t> words(count);
+  for (std::uint64_t& word : words) word = reference();
+  return words;
+}
+
+TEST(LazyMt19937_64, MatchesStdWordForWordAcrossGenerations) {
+  // 1,000 words cross the half state (156), the first full generation (312)
+  // and the second (624).
+  constexpr std::size_t kWords = 1000;
+  for (const std::uint64_t seed : reference_seeds()) {
+    const std::vector<std::uint64_t> expected = reference_words(seed, kWords);
+    LazyMt19937_64 lazy(seed);
+    for (std::size_t i = 0; i < kWords; ++i) {
+      ASSERT_EQ(lazy(), expected[i]) << "seed " << seed << ", word " << i;
+    }
+  }
+}
+
+TEST(LazyMt19937_64, StandardTenThousandthWord) {
+  // The C++ standard's check value for mt19937_64 with its default seed.
+  LazyMt19937_64 lazy(5489);
+  for (int i = 1; i < 10000; ++i) lazy();
+  EXPECT_EQ(lazy(), 9981545732273789042ULL);
+}
+
+TEST(LazyMt19937_64, EveryLengthAndMidGenerationCopyContinueIdentically) {
+  constexpr std::size_t kMaxLength = 1000;
+  constexpr std::size_t kTail = 64;
+  for (const std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{5489},
+                                   ~std::uint64_t{0}}) {
+    const std::vector<std::uint64_t> expected = reference_words(seed, kMaxLength + kTail);
+    for (std::size_t length = 0; length <= kMaxLength; ++length) {
+      LazyMt19937_64 lazy(seed);
+      for (std::size_t i = 0; i < length; ++i) {
+        ASSERT_EQ(lazy(), expected[i]) << "seed " << seed << ", length " << length;
+      }
+      LazyMt19937_64 copy = lazy;
+      for (std::size_t i = length; i < length + kTail; ++i) {
+        ASSERT_EQ(copy(), expected[i]) << "copy at length " << length << ", seed " << seed;
+        ASSERT_EQ(lazy(), expected[i]) << "original at length " << length << ", seed " << seed;
+      }
+    }
+  }
+}
+
+TEST(RngStream, DrawsMatchStdEngineDrawForDraw) {
+  for (const std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{7}, std::uint64_t{7919},
+                                   ~std::uint64_t{0}}) {
+    RngStream rng(seed);
+    StdMt19937_64 reference(SplitMix64(seed).next());
+    for (int i = 0; i < 400; ++i) {
+      ASSERT_EQ(rng.uniform01(), std::uniform_real_distribution<double>(0.0, 1.0)(reference));
+      ASSERT_EQ(rng.uniform(-3.0, 5.0),
+                std::uniform_real_distribution<double>(-3.0, 5.0)(reference));
+      ASSERT_EQ(rng.uniform_int(-4, 1000),
+                std::uniform_int_distribution<std::int64_t>(-4, 1000)(reference));
+      ASSERT_EQ(rng.normal(), std::normal_distribution<double>(0.0, 1.0)(reference));
+      ASSERT_EQ(rng.normal(10.0, 2.5), std::normal_distribution<double>(10.0, 2.5)(reference));
+      ASSERT_EQ(std::gamma_distribution<double>(0.7, 2.0)(rng.engine()),
+                std::gamma_distribution<double>(0.7, 2.0)(reference));
+      ASSERT_EQ(std::exponential_distribution<double>(0.25)(rng.engine()),
+                std::exponential_distribution<double>(0.25)(reference));
+      ASSERT_EQ(std::weibull_distribution<double>(1.5, 3.0)(rng.engine()),
+                std::weibull_distribution<double>(1.5, 3.0)(reference));
+      ASSERT_EQ(rng(), reference()) << "seed " << seed << ", round " << i;
+    }
+  }
 }
 
 TEST(SeedSequence, ChildSeedsAreOrderIndependent) {
