@@ -54,6 +54,23 @@ void BM_ApplyAvailability(benchmark::State& state) {
 }
 BENCHMARK(BM_ApplyAvailability)->Arg(16)->Arg(64)->Arg(256);
 
+// The large_stage1 completion: a 64-pulse time PMF over a 64-level
+// availability PMF gives 4096 pulses, compacted to the 2048-pulse budget.
+void BM_CompletionPmf(benchmark::State& state) {
+  const pmf::Pmf time = make_pmf(64, 8);
+  util::RngStream rng(9);
+  std::vector<pmf::Pulse> levels;
+  levels.reserve(64);
+  for (std::size_t i = 0; i < 64; ++i) {
+    levels.push_back({rng.uniform(0.05, 1.0), rng.uniform(0.01, 1.0)});
+  }
+  const pmf::Pmf availability = pmf::Pmf::from_pulses(std::move(levels));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pmf::apply_availability(time, availability, 2048));
+  }
+}
+BENCHMARK(BM_CompletionPmf);
+
 void BM_IndependentMax(benchmark::State& state) {
   const pmf::Pmf a = make_pmf(static_cast<std::size_t>(state.range(0)), 5);
   const pmf::Pmf b = make_pmf(static_cast<std::size_t>(state.range(0)), 6);

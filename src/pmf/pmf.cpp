@@ -171,33 +171,93 @@ Pmf Pmf::compacted(std::size_t max_pulses) const {
   if (pulses_.size() <= max_pulses) return *this;
   obs::PhaseTimer phase(obs::Phase::kPmfCompaction);
 
-  // Greedy nearest-pair merging on the sorted pulse list. Cost of merging
-  // adjacent pulses (v1,p1),(v2,p2): the mass-weighted squared spread they
-  // would collapse — exactly the variance the merge removes.
+  // Greedy merging on the sorted pulse list: each step merges the adjacent
+  // pair with the smallest cost, the leftmost pair on ties. Cost of merging
+  // (v1,p1),(v2,p2): the mass-weighted squared spread they would collapse —
+  // exactly the variance the merge removes. A NaN cost (an underflowed
+  // probability product times an overflowed gap) ranks as +inf, so it is
+  // taken only when no finite cost is left, and then the leftmost pair goes
+  // first.
+  //
+  // A pair's cost depends only on its two pulses, so a merge changes just
+  // the costs of the pairs on either side of it. Survivors form a doubly
+  // linked list over the original indices (which keep their order, so the
+  // smallest left index is the leftmost pair), and a min-heap keyed by
+  // (cost, left index) finds each merge in O(log n). An entry is stale once
+  // its left pulse's stamp moved on: the pair starting there changed or died.
+  const std::size_t n = pulses_.size();
+  constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
   std::vector<Pulse> work = pulses_;
-  auto merge_cost = [](const Pulse& a, const Pulse& b) {
+  std::vector<std::size_t> prev(n);
+  std::vector<std::size_t> next(n);
+  std::vector<std::size_t> stamp(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    prev[i] = i == 0 ? kNone : i - 1;
+    next[i] = i + 1 == n ? kNone : i + 1;
+  }
+
+  struct Candidate {
+    double cost;
+    std::size_t left;
+    std::size_t stamp;
+  };
+  // std heap operations keep the largest element on top; "later" puts the
+  // cheapest, leftmost pair there.
+  auto later = [](const Candidate& a, const Candidate& b) {
+    return a.cost != b.cost ? a.cost > b.cost : a.left > b.left;
+  };
+  auto candidate = [&](std::size_t left) {
+    const Pulse& a = work[left];
+    const Pulse& b = work[next[left]];
     const double mass = a.probability + b.probability;
     const double d = b.value - a.value;
-    return (a.probability * b.probability / mass) * d * d;
+    const double cost = (a.probability * b.probability / mass) * d * d;
+    return Candidate{std::isnan(cost) ? std::numeric_limits<double>::infinity() : cost, left,
+                     stamp[left]};
   };
 
-  while (work.size() > max_pulses) {
-    std::size_t best = 0;
-    double best_cost = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i + 1 < work.size(); ++i) {
-      const double cost = merge_cost(work[i], work[i + 1]);
-      if (cost < best_cost) {
-        best_cost = cost;
-        best = i;
-      }
+  std::vector<Candidate> heap;
+  heap.reserve(3 * n);
+  for (std::size_t i = 0; i + 1 < n; ++i) heap.push_back(candidate(i));
+  std::make_heap(heap.begin(), heap.end(), later);
+  auto push = [&](std::size_t left) {
+    heap.push_back(candidate(left));
+    std::push_heap(heap.begin(), heap.end(), later);
+  };
+
+  std::size_t merges = n - max_pulses;
+  while (merges > 0) {
+    std::pop_heap(heap.begin(), heap.end(), later);
+    const Candidate top = heap.back();
+    heap.pop_back();
+    if (top.stamp != stamp[top.left]) continue;
+
+    const std::size_t left = top.left;
+    const std::size_t right = next[left];
+    const double mass = work[left].probability + work[right].probability;
+    const double value =
+        (work[left].value * work[left].probability + work[right].value * work[right].probability) /
+        mass;
+    work[left] = Pulse{value, mass};
+    ++stamp[left];
+    ++stamp[right];
+    next[left] = next[right];
+    if (next[left] != kNone) {
+      prev[next[left]] = left;
+      push(left);
     }
-    const double mass = work[best].probability + work[best + 1].probability;
-    const double value = (work[best].value * work[best].probability +
-                          work[best + 1].value * work[best + 1].probability) /
-                         mass;
-    work[best] = Pulse{value, mass};
-    work.erase(work.begin() + static_cast<std::ptrdiff_t>(best) + 1);
+    if (prev[left] != kNone) {
+      ++stamp[prev[left]];
+      push(prev[left]);
+    }
+    --merges;
   }
+
+  // Survivors move down in order; pulse 0 is never a right partner, so the
+  // list starts there.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i != kNone; i = next[i]) work[kept++] = work[i];
+  work.resize(kept);
   return from_pulses(std::move(work));
 }
 

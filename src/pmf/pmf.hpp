@@ -85,9 +85,12 @@ class Pmf {
 
   /// Reduces the PMF to at most `max_pulses` pulses by repeatedly merging
   /// the pair of value-adjacent pulses whose merge perturbs the
-  /// distribution least (mass-weighted value spread). The merged pulse sits
-  /// at the probability-weighted mean, so expectation is preserved exactly;
-  /// variance shrinks by at most the merged pairs' internal spread.
+  /// distribution least (mass-weighted value spread), the leftmost such
+  /// pair on ties. The merged pulse sits at the probability-weighted mean,
+  /// so expectation is preserved exactly; variance shrinks by at most the
+  /// merged pairs' internal spread. O(n log n) time and O(n) extra memory for n
+  /// pulses. Throws std::invalid_argument if max_pulses == 0, or if a merged
+  /// value overflows to +-inf (values near +-DBL_MAX).
   [[nodiscard]] Pmf compacted(std::size_t max_pulses) const;
 
   /// Draws one value according to the PMF. `u` must be a uniform [0,1) draw.

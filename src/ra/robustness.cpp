@@ -1,8 +1,10 @@
 #include "ra/robustness.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "pmf/ops.hpp"
 #include "pmf/parallel_time.hpp"
@@ -24,10 +26,21 @@ RobustnessEvaluator::RobustnessEvaluator(const workload::Batch& batch,
   }
 }
 
-const pmf::Pmf& RobustnessEvaluator::completion_pmf(std::size_t app, GroupAssignment group) const {
+std::size_t RobustnessEvaluator::KeyHash::operator()(const Key& key) const noexcept {
+  // Boost's hash_combine over the three full-width fields.
+  std::size_t seed = 0;
+  for (const std::size_t field : {key.app, key.processor_type, key.processors}) {
+    seed ^= std::hash<std::size_t>{}(field) + 0x9e3779b9 + (seed << 6) + (seed >> 2);
+  }
+  return seed;
+}
+
+const RobustnessEvaluator::Completion& RobustnessEvaluator::completion(
+    std::size_t app, GroupAssignment group) const {
   // The RA-enumeration checkpoint boundary: every candidate an exhaustive
-  // or heuristic Stage I search scores passes through here, so a cancelled
-  // token unwinds the search within one candidate evaluation.
+  // or heuristic Stage I search scores passes through here, memoized or
+  // not, so a cancelled token unwinds the search within one candidate
+  // evaluation.
   util::throw_if_cancelled(config_.cancel);
   if (app >= batch_->size()) throw std::out_of_range("completion_pmf: bad application index");
   if (group.processor_type >= availability_->type_count()) {
@@ -37,25 +50,30 @@ const pmf::Pmf& RobustnessEvaluator::completion_pmf(std::size_t app, GroupAssign
     throw std::invalid_argument("completion_pmf: processors must be >= 1");
   }
 
-  const std::uint64_t key = (static_cast<std::uint64_t>(app) << 40) |
-                            (static_cast<std::uint64_t>(group.processor_type) << 20) |
-                            static_cast<std::uint64_t>(group.processors);
+  const Key key{app, group.processor_type, group.processors};
   if (auto it = cache_.find(key); it != cache_.end()) return it->second;
 
   const workload::Application& application = batch_->at(app);
   const pmf::Pmf parallel = application.parallel_pmf(group.processor_type, group.processors,
                                                      config_.discretization_pulses);
-  pmf::Pmf completion = pmf::apply_availability(
+  pmf::Pmf completion_time = pmf::apply_availability(
       parallel, availability_->of_type(group.processor_type), config_.max_pulses);
-  return cache_.emplace(key, std::move(completion)).first->second;
+  const double probability = completion_time.cdf(deadline_);
+  const double expectation = completion_time.expectation();
+  return cache_.emplace(key, Completion{std::move(completion_time), probability, expectation})
+      .first->second;
+}
+
+const pmf::Pmf& RobustnessEvaluator::completion_pmf(std::size_t app, GroupAssignment group) const {
+  return completion(app, group).pmf;
 }
 
 double RobustnessEvaluator::application_probability(std::size_t app, GroupAssignment group) const {
-  return completion_pmf(app, group).cdf(deadline_);
+  return completion(app, group).probability;
 }
 
 double RobustnessEvaluator::expected_completion(std::size_t app, GroupAssignment group) const {
-  return completion_pmf(app, group).expectation();
+  return completion(app, group).expectation;
 }
 
 pmf::Pmf RobustnessEvaluator::system_makespan_pmf(const Allocation& allocation) const {

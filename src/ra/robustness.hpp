@@ -38,7 +38,9 @@ struct RobustnessConfig {
 
 /// Evaluates completion PMFs and deadline probabilities for one batch under
 /// one availability spec and one deadline. Memoizes per (application, type,
-/// count) so exhaustive searches stay cheap.
+/// count) the completion PMF together with its deadline probability and
+/// expectation, each computed once from the PMF, so exhaustive searches stay
+/// cheap: a repeated query is a hash lookup, not a pulse scan.
 ///
 /// NOT thread-safe: the memoization cache mutates on const queries. Give
 /// each thread its own evaluator (construction is cheap; the cache warms in
@@ -54,10 +56,12 @@ class RobustnessEvaluator {
   /// Completion-time PMF of application `app` under `group` (steps 1-3).
   [[nodiscard]] const pmf::Pmf& completion_pmf(std::size_t app, GroupAssignment group) const;
 
-  /// Pr(application completes <= deadline) under `group`.
+  /// Pr(application completes <= deadline) under `group`: the memoized
+  /// completion_pmf(app, group).cdf(deadline()).
   [[nodiscard]] double application_probability(std::size_t app, GroupAssignment group) const;
 
-  /// Expected completion time of `app` under `group` (Table V values).
+  /// Expected completion time of `app` under `group` (Table V values): the
+  /// memoized completion_pmf(app, group).expectation().
   [[nodiscard]] double expected_completion(std::size_t app, GroupAssignment group) const;
 
   /// phi_1 of a full allocation: product of application probabilities.
@@ -94,11 +98,33 @@ class RobustnessEvaluator {
   }
 
  private:
+  /// One memoized (application, type, count): the completion PMF and the two
+  /// numbers the searches read from it.
+  struct Completion {
+    pmf::Pmf pmf;
+    double probability = 0.0;
+    double expectation = 0.0;
+  };
+  struct Key {
+    std::size_t app = 0;
+    std::size_t processor_type = 0;
+    std::size_t processors = 0;
+
+    friend bool operator==(const Key&, const Key&) = default;
+  };
+  struct KeyHash {
+    std::size_t operator()(const Key& key) const noexcept;
+  };
+
+  /// Polls the cancel token, validates the arguments, then returns the
+  /// memoized entry, computing it on first use.
+  const Completion& completion(std::size_t app, GroupAssignment group) const;
+
   const workload::Batch* batch_;
   const sysmodel::AvailabilitySpec* availability_;
   double deadline_;
   RobustnessConfig config_;
-  mutable std::unordered_map<std::uint64_t, pmf::Pmf> cache_;
+  mutable std::unordered_map<Key, Completion, KeyHash> cache_;
 };
 
 }  // namespace cdsf::ra

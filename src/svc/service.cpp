@@ -263,7 +263,10 @@ class EventLoop {
     RunningAttempt& attempt = running_[token - 1];
     if (attempt.cancelled) return;  // its shard was freed at cancel time
     attempt.finished = true;
-    shards_[attempt.shard].busy = false;
+    // strike() and deliver_success() can dispatch new attempts, which grows
+    // running_ and invalidates `attempt`; keep the shard by value.
+    const std::size_t shard = attempt.shard;
+    shards_[shard].busy = false;
     Live& live = lives_[attempt.request];
     live.active_tokens.erase(
         std::remove(live.active_tokens.begin(), live.active_tokens.end(), token),
@@ -271,16 +274,15 @@ class EventLoop {
     if (!live.done) {
       if (attempt.will_timeout) {
         ++result_.timeouts;
-        flight_.record(obs::FlightEventKind::kSolveTimeout, t,
-                       static_cast<std::uint32_t>(attempt.shard),
+        flight_.record(obs::FlightEventKind::kSolveTimeout, t, static_cast<std::uint32_t>(shard),
                        static_cast<std::int64_t>(inputs_[attempt.request].id),
                        static_cast<std::int64_t>(attempt.attempt));
-        strike(attempt.request, t, attempt.shard, "watchdog timeout");
+        strike(attempt.request, t, shard, "watchdog timeout");
       } else {
         deliver_success(attempt, t);
       }
     }
-    dispatch(attempt.shard, t);
+    dispatch(shard, t);
   }
 
   void strike(std::size_t index, double t, std::size_t shard, const std::string& reason) {

@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <limits>
+#include <optional>
+#include <stdexcept>
 
+#include "pmf/discretize.hpp"
 #include "pmf/pmf.hpp"
+#include "stats/distribution.hpp"
+#include "util/rng.hpp"
 
 namespace cdsf::pmf {
 namespace {
@@ -160,6 +167,200 @@ TEST(Pmf, CompactedKeepsSupportBounds) {
   const Pmf q = p.compacted(5);
   EXPECT_GE(q.min(), p.min());
   EXPECT_LE(q.max(), p.max());
+}
+
+// ------------------------------------------ compaction differential test --
+
+// The quadratic scan-and-erase loop Pmf::compacted used before the heap:
+// the oracle for the exact greedy merge sequence. The loop is a verbatim
+// copy; only the receiver became a parameter and the phase timer is gone.
+Pmf reference_compacted(const Pmf& pmf, std::size_t max_pulses) {
+  if (max_pulses == 0) throw std::invalid_argument("Pmf::compacted: max_pulses must be > 0");
+  if (pmf.size() <= max_pulses) return pmf;
+
+  // Greedy nearest-pair merging on the sorted pulse list. Cost of merging
+  // adjacent pulses (v1,p1),(v2,p2): the mass-weighted squared spread they
+  // would collapse — exactly the variance the merge removes.
+  std::vector<Pulse> work = pmf.pulses();
+  auto merge_cost = [](const Pulse& a, const Pulse& b) {
+    const double mass = a.probability + b.probability;
+    const double d = b.value - a.value;
+    return (a.probability * b.probability / mass) * d * d;
+  };
+
+  while (work.size() > max_pulses) {
+    std::size_t best = 0;
+    double best_cost = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i + 1 < work.size(); ++i) {
+      const double cost = merge_cost(work[i], work[i + 1]);
+      if (cost < best_cost) {
+        best_cost = cost;
+        best = i;
+      }
+    }
+    const double mass = work[best].probability + work[best + 1].probability;
+    const double value = (work[best].value * work[best].probability +
+                          work[best + 1].value * work[best + 1].probability) /
+                         mass;
+    work[best] = Pulse{value, mass};
+    work.erase(work.begin() + static_cast<std::ptrdiff_t>(best) + 1);
+  }
+  return Pmf::from_pulses(std::move(work));
+}
+
+// What the differential run has seen, so the sweep provably reaches the
+// cases it is meant to cover.
+struct CompactionCoverage {
+  int cases = 0;
+  int overflowed = 0;
+  int inputs_with_inf_cost = 0;
+  int inputs_with_nan_cost = 0;
+};
+
+bool any_pair_cost(const Pmf& pmf, const std::function<bool(double)>& pred) {
+  const std::vector<Pulse>& pulses = pmf.pulses();
+  for (std::size_t i = 0; i + 1 < pulses.size(); ++i) {
+    const Pulse& a = pulses[i];
+    const Pulse& b = pulses[i + 1];
+    const double d = b.value - a.value;
+    if (pred((a.probability * b.probability / (a.probability + b.probability)) * d * d)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// Compacts `pmf` to max_pulses in {1, 2, n/3 + 1, n/2, n - 1} and `extra`
+// with both implementations: pulses must compare equal, and compacted must
+// throw exactly when the reference throws.
+void expect_matches_reference(const Pmf& pmf, const std::string& label,
+                              CompactionCoverage& coverage, std::size_t extra = 0) {
+  const std::size_t n = pmf.size();
+  coverage.inputs_with_inf_cost += any_pair_cost(pmf, [](double c) { return std::isinf(c); });
+  coverage.inputs_with_nan_cost += any_pair_cost(pmf, [](double c) { return std::isnan(c); });
+  std::vector<std::size_t> budgets = {1, 2, n / 3 + 1, n / 2, n - 1};
+  if (extra > 0) budgets.push_back(extra);
+  for (const std::size_t budget : budgets) {
+    ++coverage.cases;
+    std::optional<Pmf> expected;
+    try {
+      expected = reference_compacted(pmf, budget);
+    } catch (const std::invalid_argument&) {
+      // With a positive budget, only a merged value that overflowed throws.
+      if (budget > 0) ++coverage.overflowed;
+    }
+    if (expected) {
+      ASSERT_EQ(pmf.compacted(budget).pulses(), expected->pulses())
+          << label << ", n " << n << ", max_pulses " << budget;
+    } else {
+      ASSERT_THROW((void)pmf.compacted(budget), std::invalid_argument)
+          << label << ", n " << n << ", max_pulses " << budget;
+    }
+  }
+}
+
+TEST(Pmf, CompactedMatchesQuadraticReference) {
+  util::RngStream rng(20120521);
+  CompactionCoverage coverage;
+  constexpr int kInputsPerFamily = 600;
+  for (int input = 0; input < kInputsPerFamily; ++input) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(2, 96));
+    std::vector<Pulse> random;
+    std::vector<Pulse> grid;
+    std::vector<Pulse> mixed;
+    std::vector<Pulse> geometric;
+    const double ratio = rng.uniform(1.01, 2.0);
+    double gap_sum = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      random.push_back({rng.uniform(-1000.0, 1000.0), rng.uniform(0.01, 1.0)});
+      // Values 0..n-1 with equal mass: every initial cost ties.
+      grid.push_back({static_cast<double>(i), 1.0});
+      // Gaps and masses drawn from two levels each: many, but not all, tie.
+      gap_sum += static_cast<double>(rng.uniform_int(1, 2));
+      mixed.push_back({gap_sum, static_cast<double>(rng.uniform_int(1, 2))});
+      geometric.push_back({std::pow(ratio, static_cast<double>(i)),
+                           rng.uniform01() < 0.5 ? 1.0 : rng.uniform(0.01, 1.0)});
+    }
+    const std::string id = "input " + std::to_string(input);
+    ASSERT_NO_FATAL_FAILURE(
+        expect_matches_reference(Pmf::from_pulses(std::move(random)), "random " + id, coverage));
+    ASSERT_NO_FATAL_FAILURE(
+        expect_matches_reference(Pmf::from_pulses(std::move(grid)), "grid " + id, coverage));
+    ASSERT_NO_FATAL_FAILURE(expect_matches_reference(Pmf::from_pulses(std::move(mixed)),
+                                                     "mixed ties " + id, coverage));
+    ASSERT_NO_FATAL_FAILURE(expect_matches_reference(Pmf::from_pulses(std::move(geometric)),
+                                                     "geometric " + id, coverage));
+  }
+
+  // The large_stage1 shape: a 64-pulse time law divided by a 64-level
+  // availability, 4096 pulses cut to the 2048-pulse Stage I budget.
+  const Pmf time = discretize_quantile(stats::Normal(1800.0, 180.0), 64);
+  std::vector<Pulse> levels;
+  for (std::size_t i = 0; i < 64; ++i) levels.push_back({rng.uniform(0.05, 1.0), rng.uniform01()});
+  const Pmf availability = Pmf::from_pulses(std::move(levels));
+  std::vector<Pulse> product;
+  for (const Pulse& t : time.pulses()) {
+    for (const Pulse& a : availability.pulses()) {
+      product.push_back({t.value / a.value, t.probability * a.probability});
+    }
+  }
+  const Pmf completion = Pmf::from_pulses(std::move(product));
+  ASSERT_GT(completion.size(), 2048u);
+  ASSERT_NO_FATAL_FAILURE(
+      expect_matches_reference(completion, "64 x 64 t/a product", coverage, 2048));
+
+  EXPECT_GE(coverage.cases, 10000);
+  EXPECT_EQ(coverage.overflowed, 0);
+}
+
+TEST(Pmf, CompactedMatchesQuadraticReferenceAtExtremeValues) {
+  // Values across +-1.7e308 and probabilities down to 1e-170, in three
+  // families that reach the scan's corner cases:
+  //   0. mixed magnitudes: gaps beyond ~1e154 make +inf costs;
+  //   1. a cluster within 1e-11 of +-DBL_MAX with one heavy pulse: the last
+  //      merge's weighted sum rounds past DBL_MAX, the merged value is
+  //      +-inf, and both implementations throw from the final from_pulses;
+  //   2. huge values of both signs: the pair straddling zero has an
+  //      overflowing gap, and with two 1e-170 probabilities its cost is
+  //      0 * inf = NaN, next to finite and +inf costs.
+  util::RngStream rng(7919);
+  constexpr double kMax = std::numeric_limits<double>::max();
+  CompactionCoverage coverage;
+  constexpr int kInputs = 2400;
+  for (int input = 0; input < kInputs; ++input) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(2, 40));
+    const int family = input % 3;
+    const double sign = rng.uniform01() < 0.5 ? -1.0 : 1.0;
+    std::vector<Pulse> pulses;
+    for (std::size_t i = 0; i < n; ++i) {
+      const bool tiny = rng.uniform01() < 0.5;
+      double value = 0.0;
+      double probability = tiny ? 1e-170 : rng.uniform(0.01, 1.0);
+      if (family == 0) {
+        const double pick = rng.uniform01();
+        const double scale = pick < 0.4 ? 1.7e308 : (pick < 0.7 ? 1e156 : 1000.0);
+        value = rng.uniform(-1.0, 1.0) * scale;  // uniform(lo, hi) would overflow hi - lo
+      } else if (family == 1) {
+        value = sign * kMax * (1.0 - static_cast<double>(i) * 2e-12);
+        if (i == 0) {
+          probability = 1.0;
+        } else if (!tiny) {
+          probability = std::pow(10.0, rng.uniform(-12.0, -6.0));
+        }
+      } else {
+        value = (rng.uniform01() < 0.5 ? -1.0 : 1.0) * rng.uniform(0.5, 1.0) * kMax;
+      }
+      pulses.push_back({value, probability});
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_matches_reference(
+        Pmf::from_pulses(std::move(pulses)),
+        "extreme family " + std::to_string(family) + " input " + std::to_string(input),
+        coverage));
+  }
+  EXPECT_GE(coverage.cases, 10000);
+  EXPECT_GT(coverage.inputs_with_inf_cost, 0);
+  EXPECT_GT(coverage.inputs_with_nan_cost, 0);
+  EXPECT_GT(coverage.overflowed, 0);
 }
 
 // -------------------------------------------------------------- sampling --

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "cdsf/paper_example.hpp"
 #include "ra/robustness.hpp"
 #include "test_support.hpp"
@@ -78,6 +81,25 @@ TEST_F(RobustnessTest, CompletionPmfIsCached) {
   const pmf::Pmf& first = evaluator_.completion_pmf(2, group);
   const pmf::Pmf& second = evaluator_.completion_pmf(2, group);
   EXPECT_EQ(&first, &second);
+
+  // The memoized probability and expectation are the PMF's own cdf and
+  // expectation bit for bit, whether the query fills the cache or hits it.
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (std::size_t app = 0; app < example_.batch.size(); ++app) {
+    for (std::size_t type = 0; type < example_.platform.type_count(); ++type) {
+      for (std::size_t n = 1; n <= example_.platform.processors_of_type(type); ++n) {
+        const GroupAssignment option{type, n};
+        const RobustnessEvaluator fresh(example_.batch, example_.cases.front(), example_.deadline);
+        const double probability = fresh.application_probability(app, option);  // fills
+        const double expected = fresh.expected_completion(app, option);          // hits
+        const pmf::Pmf& completion = fresh.completion_pmf(app, option);
+        EXPECT_EQ(bits(probability), bits(completion.cdf(fresh.deadline())))
+            << "app=" << app << " type=" << type << " n=" << n;
+        EXPECT_EQ(bits(expected), bits(completion.expectation()))
+            << "app=" << app << " type=" << type << " n=" << n;
+      }
+    }
+  }
 }
 
 TEST_F(RobustnessTest, CompletionPmfSupportScalesWithAvailability) {
@@ -106,6 +128,29 @@ TEST(RobustnessEvaluator, ConstructionValidation) {
   bad.discretization_pulses = 0;
   EXPECT_THROW(RobustnessEvaluator(example.batch, example.cases.front(), 100.0, bad),
                std::invalid_argument);
+}
+
+TEST(RobustnessEvaluator, CacheKeepsTypesApartAtMillionProcessorGroups) {
+  // Two types with 2^20 processors each: a cache key packing the fields into
+  // overlapping bit ranges gave both groups one slot, so the second query
+  // returned the first type's PMF.
+  const workload::Batch batch({test::simple_app("a", 10, 100, {50.0, 80.0})});
+  std::vector<pmf::Pmf> laws = {pmf::Pmf::delta(1.0),
+                                pmf::Pmf::from_pulses({{0.5, 0.5}, {1.0, 0.5}})};
+  const sysmodel::AvailabilitySpec availability("two types", std::move(laws));
+  constexpr std::size_t kProcessors = std::size_t{1} << 20;
+  const RobustnessEvaluator warmed(batch, availability, 5000.0);
+  (void)warmed.completion_pmf(0, {0, kProcessors});
+  (void)warmed.application_probability(0, {0, kProcessors});
+
+  const RobustnessEvaluator fresh(batch, availability, 5000.0);
+  const pmf::Pmf& type1 = fresh.completion_pmf(0, {1, kProcessors});
+  EXPECT_NE(fresh.completion_pmf(0, {0, kProcessors}), type1);
+  EXPECT_EQ(warmed.completion_pmf(0, {1, kProcessors}), type1);
+  EXPECT_EQ(warmed.application_probability(0, {1, kProcessors}),
+            fresh.application_probability(0, {1, kProcessors}));
+  EXPECT_EQ(warmed.expected_completion(0, {1, kProcessors}),
+            fresh.expected_completion(0, {1, kProcessors}));
 }
 
 TEST(RobustnessEvaluator, TightDeadlineGivesZeroLooseGivesOne) {

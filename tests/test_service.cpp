@@ -340,10 +340,20 @@ TEST(CancelHooks, RaEnumerationBoundaryThrowsCancelled) {
   ra::RobustnessConfig config;
   config.cancel = token.flag();
   const workload::Batch batch({test::simple_app("a", 10, 100, {50.0, 80.0})});
-  const ra::RobustnessEvaluator evaluator(batch, test::full_availability(2), 5000.0,
-                                          config);
-  EXPECT_THROW((void)evaluator.completion_pmf(0, ra::GroupAssignment{0, 2}),
-               util::Cancelled);
+  const sysmodel::AvailabilitySpec availability = test::full_availability(2);
+  const ra::RobustnessEvaluator evaluator(batch, availability, 5000.0, config);
+  const ra::GroupAssignment group{0, 2};
+  EXPECT_THROW((void)evaluator.completion_pmf(0, group), util::Cancelled);
+
+  // A memoized group still polls the token: warm the cache, then cancel.
+  token.reset();
+  (void)evaluator.completion_pmf(0, group);
+  (void)evaluator.application_probability(0, group);
+  token.cancel();
+  EXPECT_THROW((void)evaluator.completion_pmf(0, group), util::Cancelled);
+  EXPECT_THROW((void)evaluator.application_probability(0, group), util::Cancelled);
+  EXPECT_THROW((void)evaluator.expected_completion(0, group), util::Cancelled);
+  EXPECT_THROW((void)evaluator.joint_probability(ra::Allocation({group})), util::Cancelled);
 }
 
 TEST(CancelHooks, MonteCarloReplicationBoundaryThrowsCancelled) {
