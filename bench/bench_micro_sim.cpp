@@ -85,6 +85,21 @@ void BM_RngStreamSetup(benchmark::State& state) {
 }
 BENCHMARK(BM_RngStreamSetup);
 
+// The draw behind simulated iteration noise (sample_work: one per chunk,
+// or one per iteration in chunks of up to 32): 64 normal variates per
+// iteration from one long-lived stream.
+void BM_RngNormal(benchmark::State& state) {
+  util::RngStream rng(2012);
+  double mean = 1.0;
+  for (auto _ : state) {
+    double sum = 0.0;
+    for (int i = 0; i < 64; ++i) sum += rng.normal(mean, 0.25);
+    benchmark::DoNotOptimize(sum);
+    benchmark::DoNotOptimize(mean);
+  }
+}
+BENCHMARK(BM_RngNormal);
+
 // AF's per-chunk cost once every worker is measured: the bisection for the
 // batch target time over all workers' (mu, sigma) estimates.
 void BM_AfNextChunk(benchmark::State& state) {

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <random>
 
@@ -119,9 +120,27 @@ class LazyMt19937_64 {
 
 static_assert(sizeof(LazyMt19937_64) == sizeof(std::mt19937_64));
 
+/// The double in [0, 1) that std::generate_canonical<double, 53> makes from
+/// one 64-bit engine word in libstdc++: the word rounded to double, times
+/// 2^-64, clamped to nextafter(1, 0) when it rounds up to 1. Both 32-bit
+/// halves convert exactly, so their sum's single rounding is the correctly
+/// rounded conversion of the whole word; unlike a direct unsigned 64-bit
+/// conversion, it needs no branch on the word's top bit.
+constexpr double canonical_double(std::uint64_t word) noexcept {
+  const double value = (static_cast<double>(word >> 32) * 0x1p32 +
+                        static_cast<double>(static_cast<std::uint32_t>(word))) *
+                       0x1p-64;
+  return value < 1.0 ? value : 0x1.fffffffffffffp-1;
+}
+
 /// A seeded random stream: a LazyMt19937_64 (sequence-identical to
 /// std::mt19937_64) exposing the UniformRandomBitGenerator interface plus
-/// convenience draws.
+/// convenience draws. uniform01, uniform and normal are computed here, bit
+/// for bit as libstdc++'s uniform_real_distribution and a fresh
+/// normal_distribution compute them over the same engine, so their values
+/// do not depend on the standard library's unspecified algorithms.
+/// uniform_int, and the gamma, exponential and Weibull draws that go
+/// through engine(), still use the std distributions.
 class RngStream {
  public:
   explicit RngStream(std::uint64_t seed) : engine_(whiten(seed)) {}
@@ -131,15 +150,11 @@ class RngStream {
   static constexpr result_type max() { return LazyMt19937_64::max(); }
   result_type operator()() { return engine_(); }
 
-  /// Uniform double in [0, 1).
-  double uniform01() {
-    return std::uniform_real_distribution<double>(0.0, 1.0)(engine_);
-  }
+  /// Uniform double in [0, 1): one engine word.
+  double uniform01() { return canonical_double(engine_()); }
 
   /// Uniform double in [lo, hi).
-  double uniform(double lo, double hi) {
-    return std::uniform_real_distribution<double>(lo, hi)(engine_);
-  }
+  double uniform(double lo, double hi) { return uniform01() * (hi - lo) + lo; }
 
   /// Uniform integer in [lo, hi] (inclusive).
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
@@ -147,13 +162,18 @@ class RngStream {
   }
 
   /// Standard normal draw.
-  double normal() {
-    return std::normal_distribution<double>(0.0, 1.0)(engine_);
-  }
+  double normal() { return normal(0.0, 1.0); }
 
-  /// Normal draw with the given mean and standard deviation.
+  /// Normal draw with the given mean and standard deviation: Marsaglia's
+  /// polar method, keeping y of the accepted pair (x, y) and dropping x.
   double normal(double mean, double stddev) {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
+    for (;;) {
+      const double x = 2.0 * uniform01() - 1.0;
+      const double y = 2.0 * uniform01() - 1.0;
+      const double r2 = x * x + y * y;
+      if (r2 > 1.0 || r2 == 0.0) continue;
+      return y * std::sqrt(-2.0 * std::log(r2) / r2) * stddev + mean;
+    }
   }
 
   LazyMt19937_64& engine() noexcept { return engine_; }

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "dls/adaptive.hpp"
@@ -389,6 +391,120 @@ TEST(Af, EarlyExitBisectionMatchesFixedHundredSteps) {
   }
   // The bisection path, not only the bootstrap one, was exercised.
   EXPECT_GT(measured_requests, kStates);
+}
+
+// ------------------------------------- AF target search differential test --
+
+// K_j(T) and the batch target search exactly as next_chunk computed them
+// before the certified window: the oracle for search_target.
+double reference_chunk(double mu, double sigma, double target) {
+  if (target <= 0.0) return 0.0;
+  const double s2 = sigma * sigma;
+  return (s2 + 2.0 * mu * target - sigma * std::sqrt(s2 + 4.0 * mu * target)) /
+         (2.0 * mu * mu);
+}
+
+struct MuSigma {
+  double mu;
+  double sigma;
+};
+
+double reference_target(const std::vector<MuSigma>& estimates, double own_mu, double own_sigma,
+                        double budget) {
+  auto total_chunks = [&](double target) {
+    double sum = 0.0;
+    for (const MuSigma& e : estimates) sum += reference_chunk(e.mu, e.sigma, target);
+    return sum;
+  };
+  double hi = own_mu * budget + own_sigma * std::sqrt(budget) + 1.0;
+  for (int i = 0; i < 128 && total_chunks(hi) < budget; ++i) hi *= 2.0;
+  double lo = 0.0;
+  for (int i = 0; i < 100; ++i) {
+    const double mid = 0.5 * (lo + hi);
+    if (mid == lo || mid == hi) break;
+    if (total_chunks(mid) < budget) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return 0.5 * (lo + hi);
+}
+
+double log_uniform(util::RngStream& rng, double lo, double hi) {
+  return std::exp(rng.uniform(std::log(lo), std::log(hi)));
+}
+
+// Paper-like: CoV up to 0.8, scales 1e-8 to 1e8. High CoV: sigma / mu up
+// to 1e8, where the sum cancels. Extreme scale: 1e-200 to 1e200, half of
+// it outside the range the error bound covers.
+enum class Family { kPaperLike, kHighCov, kExtremeScale };
+
+// One search state: 1-64 measured workers (mostly up to 8, as in the
+// paper; one in five steady, sigma = 0), per-iteration times around a
+// log-uniform scale, and a budget of 1 to 1e7 that is exactly 1 one time
+// in ten.
+struct SearchState {
+  std::vector<MuSigma> estimates;
+  std::size_t own = 0;
+  double budget = 1.0;
+};
+
+SearchState make_state(util::RngStream& rng, Family family) {
+  SearchState state;
+  const auto workers = static_cast<std::size_t>(
+      rng.uniform01() < 0.75 ? rng.uniform_int(1, 8) : rng.uniform_int(9, 64));
+  const double scale = family == Family::kExtremeScale ? log_uniform(rng, 1e-200, 1e200)
+                                                       : log_uniform(rng, 1e-8, 1e8);
+  for (std::size_t w = 0; w < workers; ++w) {
+    const double mu = scale * log_uniform(rng, 0.1, 10.0);
+    double cov = 0.0;
+    if (rng.uniform01() < 0.8) {
+      cov = family == Family::kHighCov ? log_uniform(rng, 1e-3, 1e8) : rng.uniform(0.0, 0.8);
+    }
+    state.estimates.push_back({mu, mu * cov});
+  }
+  state.own = static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(workers) - 1));
+  state.budget = rng.uniform01() < 0.1 ? 1.0 : std::max(1.0, log_uniform(rng, 1.0, 1e7));
+  return state;
+}
+
+TEST(Af, SearchTargetMatchesReferenceBisectionBitForBit) {
+  util::RngStream rng(20121111);
+  constexpr int kStatesPerFamily = 140000;
+  constexpr Family kFamilies[] = {Family::kPaperLike, Family::kHighCov, Family::kExtremeScale};
+  int certified[3] = {0, 0, 0};
+  long long certified_sums[3] = {0, 0, 0};
+  std::vector<AdaptiveFactoring::Estimate> estimates;
+  for (const Family family : kFamilies) {
+    const auto f = static_cast<std::size_t>(family);
+    for (int index = 0; index < kStatesPerFamily; ++index) {
+      const SearchState state = make_state(rng, family);
+      estimates.clear();
+      for (const MuSigma& e : state.estimates) estimates.emplace_back(e.mu, e.sigma);
+      const MuSigma own = state.estimates[state.own];
+      const AdaptiveFactoring::TargetSearch search =
+          AdaptiveFactoring::search_target(estimates, own.mu, own.sigma, state.budget);
+      const double expected = reference_target(state.estimates, own.mu, own.sigma, state.budget);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(search.target), std::bit_cast<std::uint64_t>(expected))
+          << "family " << f << ", state " << index << ", workers " << estimates.size()
+          << ", budget " << state.budget << ": " << search.target << " vs " << expected;
+      if (search.certified) {
+        ++certified[f];
+        certified_sums[f] += search.sums;
+      }
+    }
+  }
+  // Paper-like states certify and need far fewer sums than a plain
+  // bisection's ~56 or more; the other families reach the fallback as well.
+  const auto paper = static_cast<std::size_t>(Family::kPaperLike);
+  EXPECT_GT(certified[paper], kStatesPerFamily * 99 / 100);
+  EXPECT_LT(static_cast<double>(certified_sums[paper]) / certified[paper], 20.0);
+  EXPECT_GT(certified[static_cast<std::size_t>(Family::kHighCov)], 0);
+  EXPECT_LT(certified[static_cast<std::size_t>(Family::kHighCov)], kStatesPerFamily);
+  EXPECT_GT(certified[static_cast<std::size_t>(Family::kExtremeScale)], 0);
+  EXPECT_LT(certified[static_cast<std::size_t>(Family::kExtremeScale)], kStatesPerFamily);
 }
 
 }  // namespace

@@ -152,6 +152,100 @@ TEST(RngStream, DrawsMatchStdEngineDrawForDraw) {
   }
 }
 
+// ---------------------------------------------- in-tree uniform / normal --
+
+// A stub engine that returns one fixed word: feeds generate_canonical the
+// boundary words of the word -> double conversion.
+struct OneWordEngine {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  result_type operator()() const { return word; }
+  result_type word;
+};
+
+TEST(CanonicalDouble, MatchesGenerateCanonicalOnBoundaryWords) {
+  constexpr std::uint64_t kTwo53 = std::uint64_t{1} << 53;
+  constexpr std::uint64_t kTwo63 = std::uint64_t{1} << 63;
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  // 2^64 - 1025 is the largest word that rounds below 2^64; the last two
+  // round to 2^64 and take the clamp to nextafter(1, 0).
+  std::vector<std::uint64_t> words = {0,          1,           kTwo53 - 1,  kTwo53,    kTwo53 + 1,
+                                      kTwo63,     kTwo63 + 1,  kMax - 1025, kMax - 1024, kMax - 1023,
+                                      kMax};
+  SplitMix64 mixer(53);
+  for (int i = 0; i < 10000; ++i) words.push_back(mixer.next());
+  for (const std::uint64_t word : words) {
+    const double value = canonical_double(word);
+    EXPECT_GE(value, 0.0) << word;
+    EXPECT_LT(value, 1.0) << word;
+#if defined(__GLIBCXX__)
+    OneWordEngine engine{word};
+    ASSERT_EQ(value, (std::generate_canonical<double, 53>(engine))) << "word " << word;
+#endif
+  }
+  EXPECT_EQ(canonical_double(0), 0.0);
+  EXPECT_EQ(canonical_double(1), 0x1p-64);
+  EXPECT_EQ(canonical_double(kTwo53 + 1), 0x1p-11);  // ties to even: 2^53 + 1 -> 2^53
+  EXPECT_EQ(canonical_double(kTwo63), 0.5);
+  EXPECT_EQ(canonical_double(kMax - 1025), 0x1.fffffffffffffp-1);
+  EXPECT_EQ(canonical_double(kMax - 1024), 0x1.fffffffffffffp-1);
+  EXPECT_EQ(canonical_double(kMax), 0x1.fffffffffffffp-1);
+}
+
+// Every recorded report and baseline was drawn through libstdc++'s
+// uniform_real_distribution and fresh normal_distribution objects; the
+// in-tree draws must reproduce them bit for bit.
+TEST(RngStream, UniformAndNormalMatchLibstdcxxDistributionsBitForBit) {
+#if defined(__GLIBCXX__)
+  constexpr int kDrawsPerSeed = 250000;  // 10^6 per method over the four seeds
+  for (const std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{7}, std::uint64_t{7919},
+                                   ~std::uint64_t{0}}) {
+    const std::uint64_t engine_seed = SplitMix64(seed).next();
+    {
+      RngStream rng(seed);
+      StdMt19937_64 reference(engine_seed);
+      for (int i = 0; i < kDrawsPerSeed; ++i) {
+        ASSERT_EQ(rng.uniform01(), std::uniform_real_distribution<double>(0.0, 1.0)(reference))
+            << "uniform01, seed " << seed << ", draw " << i;
+      }
+    }
+    {
+      RngStream rng(seed);
+      StdMt19937_64 reference(engine_seed);
+      for (int i = 0; i < kDrawsPerSeed; ++i) {
+        const double lo = i % 3 == 0 ? -3.0 : 1e-3 * i;
+        const double hi = lo + (i % 5 == 0 ? 1e9 : 8.5);
+        ASSERT_EQ(rng.uniform(lo, hi), std::uniform_real_distribution<double>(lo, hi)(reference))
+            << "uniform, seed " << seed << ", draw " << i;
+      }
+    }
+    {
+      RngStream rng(seed);
+      StdMt19937_64 reference(engine_seed);
+      for (int i = 0; i < kDrawsPerSeed; ++i) {
+        ASSERT_EQ(rng.normal(), std::normal_distribution<double>(0.0, 1.0)(reference))
+            << "normal(), seed " << seed << ", draw " << i;
+      }
+    }
+    {
+      RngStream rng(seed);
+      StdMt19937_64 reference(engine_seed);
+      for (int i = 0; i < kDrawsPerSeed; ++i) {
+        const double mean = i % 2 == 0 ? 10.0 : -1e-3 * i;
+        const double stddev = i % 7 == 0 ? 1e-300 : 2.5 + 1e-4 * i;
+        ASSERT_EQ(rng.normal(mean, stddev), std::normal_distribution<double>(mean, stddev)(reference))
+            << "normal(mean, sd), seed " << seed << ", draw " << i;
+      }
+      // The same words were consumed, rejections included.
+      ASSERT_EQ(rng(), reference()) << "seed " << seed;
+    }
+  }
+#else
+  GTEST_SKIP() << "the recorded draws come from libstdc++'s distributions";
+#endif
+}
+
 TEST(SeedSequence, ChildSeedsAreOrderIndependent) {
   SeedSequence seq(42);
   const std::uint64_t fifth = seq.child(5);
