@@ -56,20 +56,34 @@ BENCHMARK(BM_ApplyAvailability)->Arg(16)->Arg(64)->Arg(256);
 
 // The large_stage1 completion: a 64-pulse time PMF over a 64-level
 // availability PMF gives 4096 pulses, compacted to the 2048-pulse budget.
-void BM_CompletionPmf(benchmark::State& state) {
-  const pmf::Pmf time = make_pmf(64, 8);
+pmf::Pmf make_availability64() {
   util::RngStream rng(9);
   std::vector<pmf::Pulse> levels;
   levels.reserve(64);
   for (std::size_t i = 0; i < 64; ++i) {
     levels.push_back({rng.uniform(0.05, 1.0), rng.uniform(0.01, 1.0)});
   }
-  const pmf::Pmf availability = pmf::Pmf::from_pulses(std::move(levels));
+  return pmf::Pmf::from_pulses(std::move(levels));
+}
+
+void BM_CompletionPmf(benchmark::State& state) {
+  const pmf::Pmf time = make_pmf(64, 8);
+  const pmf::Pmf availability = make_availability64();
   for (auto _ : state) {
     benchmark::DoNotOptimize(pmf::apply_availability(time, availability, 2048));
   }
 }
 BENCHMARK(BM_CompletionPmf);
+
+// BM_CompletionPmf's compaction alone: the uncompacted 4096-pulse t/a
+// product cut to 2048.
+void BM_CompactionTaProduct(benchmark::State& state) {
+  const pmf::Pmf product = pmf::apply_availability(make_pmf(64, 8), make_availability64(), 4096);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(product.compacted(2048));
+  }
+}
+BENCHMARK(BM_CompactionTaProduct);
 
 void BM_IndependentMax(benchmark::State& state) {
   const pmf::Pmf a = make_pmf(static_cast<std::size_t>(state.range(0)), 5);

@@ -1,7 +1,9 @@
 #include "pmf/pmf.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -35,8 +37,14 @@ std::vector<Pulse> canonicalize(std::vector<Pulse> pulses) {
   if (pulses.empty()) {
     throw std::invalid_argument("Pmf: at least one positive-probability pulse required");
   }
-  std::sort(pulses.begin(), pulses.end(),
-            [](const Pulse& a, const Pulse& b) { return a.value < b.value; });
+  // Strictly increasing values have exactly one sorted order, so skipping the
+  // sort then leaves the bits std::sort would. Any equal pair (including
+  // -0.0, +0.0) still sorts: where equal keys land decides the summation
+  // order below.
+  auto by_value = [](const Pulse& a, const Pulse& b) { return a.value < b.value; };
+  const auto unsorted = std::adjacent_find(
+      pulses.begin(), pulses.end(), [&](const Pulse& a, const Pulse& b) { return !by_value(a, b); });
+  if (unsorted != pulses.end()) std::sort(pulses.begin(), pulses.end(), by_value);
 
   std::vector<Pulse> merged;
   merged.reserve(pulses.size());
@@ -182,75 +190,85 @@ Pmf Pmf::compacted(std::size_t max_pulses) const {
   // A pair's cost depends only on its two pulses, so a merge changes just
   // the costs of the pairs on either side of it. Survivors form a doubly
   // linked list over the original indices (which keep their order, so the
-  // smallest left index is the leftmost pair), and a min-heap keyed by
-  // (cost, left index) finds each merge in O(log n). An entry is stale once
-  // its left pulse's stamp moved on: the pair starting there changed or died.
+  // smallest left index is the leftmost pair). A tournament tree finds each
+  // merge: leaf i holds the cost of the pair starting at pulse i, as its IEEE
+  // bits — costs are >= +0, so their bits order as the values do — or
+  // kDead when pulse i starts no pair (merged away, or the last survivor).
+  // Every inner node holds the smaller of its children, the left one on
+  // ties, so the root is the cheapest, leftmost pair. There is a leaf per
+  // pulse, not per pair: a merge's right pulse may be the last one.
   const std::size_t n = pulses_.size();
   constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+  constexpr std::uint64_t kDead = std::numeric_limits<std::uint64_t>::max();
+  constexpr auto kInfBits = std::bit_cast<std::uint64_t>(std::numeric_limits<double>::infinity());
   std::vector<Pulse> work = pulses_;
   std::vector<std::size_t> prev(n);
   std::vector<std::size_t> next(n);
-  std::vector<std::size_t> stamp(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
     prev[i] = i == 0 ? kNone : i - 1;
     next[i] = i + 1 == n ? kNone : i + 1;
   }
 
-  struct Candidate {
-    double cost;
-    std::size_t left;
-    std::size_t stamp;
-  };
-  // std heap operations keep the largest element on top; "later" puts the
-  // cheapest, leftmost pair there.
-  auto later = [](const Candidate& a, const Candidate& b) {
-    return a.cost != b.cost ? a.cost > b.cost : a.left > b.left;
-  };
-  auto candidate = [&](std::size_t left) {
+  auto cost_bits = [&](std::size_t left) {
     const Pulse& a = work[left];
     const Pulse& b = work[next[left]];
     const double mass = a.probability + b.probability;
     const double d = b.value - a.value;
     const double cost = (a.probability * b.probability / mass) * d * d;
-    return Candidate{std::isnan(cost) ? std::numeric_limits<double>::infinity() : cost, left,
-                     stamp[left]};
+    return std::isnan(cost) ? kInfBits : std::bit_cast<std::uint64_t>(cost);
   };
 
-  std::vector<Candidate> heap;
-  heap.reserve(3 * n);
-  for (std::size_t i = 0; i + 1 < n; ++i) heap.push_back(candidate(i));
-  std::make_heap(heap.begin(), heap.end(), later);
-  auto push = [&](std::size_t left) {
-    heap.push_back(candidate(left));
-    std::push_heap(heap.begin(), heap.end(), later);
+  // Node k's children are 2k and 2k + 1; leaf i is node leaves + i.
+  struct Node {
+    std::uint64_t cost;
+    std::size_t left;
   };
+  const std::size_t leaves = std::bit_ceil(n);
+  std::vector<Node> tree(2 * leaves, Node{kDead, kNone});
+  for (std::size_t i = 0; i + 1 < n; ++i) tree[leaves + i] = Node{cost_bits(i), i};
+  // The select is branch-free: which child wins is data, and a branch on it
+  // would mispredict about half the time.
+  auto replay = [&](std::size_t k) {
+    const Node& a = tree[2 * k];
+    const Node& b = tree[2 * k + 1];
+    const std::uint64_t take_b = std::uint64_t{0} - std::uint64_t{b.cost < a.cost};
+    tree[k] = Node{a.cost ^ ((a.cost ^ b.cost) & take_b), a.left ^ ((a.left ^ b.left) & take_b)};
+  };
+  for (std::size_t k = leaves - 1; k >= 1; --k) replay(k);
 
-  std::size_t merges = n - max_pulses;
-  while (merges > 0) {
-    std::pop_heap(heap.begin(), heap.end(), later);
-    const Candidate top = heap.back();
-    heap.pop_back();
-    if (top.stamp != stamp[top.left]) continue;
-
-    const std::size_t left = top.left;
+  for (std::size_t merges = n - max_pulses; merges > 0; --merges) {
+    const std::size_t left = tree[1].left;
     const std::size_t right = next[left];
     const double mass = work[left].probability + work[right].probability;
     const double value =
         (work[left].value * work[left].probability + work[right].value * work[right].probability) /
         mass;
     work[left] = Pulse{value, mass};
-    ++stamp[left];
-    ++stamp[right];
     next[left] = next[right];
+    tree[leaves + right].cost = kDead;
     if (next[left] != kNone) {
       prev[next[left]] = left;
-      push(left);
+      tree[leaves + left].cost = cost_bits(left);
+    } else {
+      tree[leaves + left].cost = kDead;
     }
-    if (prev[left] != kNone) {
-      ++stamp[prev[left]];
-      push(prev[left]);
+    const std::size_t before = prev[left];
+    if (before != kNone) tree[leaves + before].cost = cost_bits(before);
+
+    // Replay the changed leaves' ancestors in one bottom-up pass. The
+    // leaves ascend in index order, so their ancestors at each level do
+    // too, and a path that met its left neighbour's is replayed once.
+    std::size_t a = leaves + (before != kNone ? before : left);
+    std::size_t b = leaves + left;
+    std::size_t c = leaves + right;
+    while (a > 1) {
+      a >>= 1;
+      b >>= 1;
+      c >>= 1;
+      replay(a);
+      if (b != a) replay(b);
+      if (c != b) replay(c);
     }
-    --merges;
   }
 
   // Survivors move down in order; pulse 0 is never a right partner, so the

@@ -30,7 +30,13 @@ WalRecord record_from_json(const obs::Json& json) {
 /// (a tear mid-number would otherwise silently shorten the value). Returns
 /// false when the field (or its terminator) did not survive.
 bool salvage_number(std::string_view text, std::string_view key, double& out) {
-  const std::string needle = "\"" + std::string(key) + "\":";
+  // Built with += rather than an operator+ chain: GCC 12's -Wrestrict
+  // misfires on the chain's inlined copies in optimized builds.
+  std::string needle;
+  needle.reserve(key.size() + 3);
+  needle += '"';
+  needle += key;
+  needle += "\":";
   const std::size_t at = text.find(needle);
   if (at == std::string_view::npos) return false;
   std::size_t pos = at + needle.size();

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <optional>
@@ -361,6 +364,159 @@ TEST(Pmf, CompactedMatchesQuadraticReferenceAtExtremeValues) {
   EXPECT_GT(coverage.inputs_with_inf_cost, 0);
   EXPECT_GT(coverage.inputs_with_nan_cost, 0);
   EXPECT_GT(coverage.overflowed, 0);
+}
+
+TEST(Pmf, CompactedMatchesQuadraticReferenceAtTreePaddingSizes) {
+  // The tournament tree pads to a power of two with a leaf per pulse. These
+  // sizes sit on either side of a power of two in pulses (1024, 1025) and in
+  // pairs (257, 4097: n - 1 pairs), where a tree with a leaf per pair would
+  // be one leaf short. Random values, and an all-tie grid whose every merge
+  // order rests on the leftmost-pair rule.
+  util::RngStream rng(4097);
+  CompactionCoverage coverage;
+  for (const std::size_t n : {std::size_t{257}, std::size_t{1024}, std::size_t{1025},
+                              std::size_t{4097}}) {
+    std::vector<Pulse> random;
+    std::vector<Pulse> grid;
+    for (std::size_t i = 0; i < n; ++i) {
+      random.push_back({rng.uniform(-1000.0, 1000.0), rng.uniform(0.01, 1.0)});
+      grid.push_back({static_cast<double>(i), 1.0});
+    }
+    const Pmf random_pmf = Pmf::from_pulses(std::move(random));
+    ASSERT_EQ(random_pmf.size(), n);
+    ASSERT_NO_FATAL_FAILURE(expect_matches_reference(random_pmf, "random", coverage));
+    ASSERT_NO_FATAL_FAILURE(
+        expect_matches_reference(Pmf::from_pulses(std::move(grid)), "grid", coverage));
+  }
+  EXPECT_EQ(coverage.cases, 40);
+  EXPECT_EQ(coverage.overflowed, 0);
+}
+
+// ---------------------------------------------------- canonicalization --
+
+// Pmf's canonicalization before it skipped the sort of already strictly
+// increasing pulses: the oracle for from_pulses. A verbatim copy, with its
+// merge tolerance; only the function's name changed.
+constexpr double kValueMergeRelTol = 1e-12;
+
+bool nearly_equal(double a, double b) {
+  const double scale = std::max({std::fabs(a), std::fabs(b), 1.0});
+  return std::fabs(a - b) <= kValueMergeRelTol * scale;
+}
+
+std::vector<Pulse> reference_canonicalize(std::vector<Pulse> pulses) {
+  for (const Pulse& pulse : pulses) {
+    if (!std::isfinite(pulse.value) || !std::isfinite(pulse.probability)) {
+      throw std::invalid_argument("Pmf: pulse value/probability must be finite");
+    }
+    if (pulse.probability < 0.0) {
+      throw std::invalid_argument("Pmf: pulse probability must be >= 0");
+    }
+  }
+  std::erase_if(pulses, [](const Pulse& pulse) { return pulse.probability == 0.0; });
+  if (pulses.empty()) {
+    throw std::invalid_argument("Pmf: at least one positive-probability pulse required");
+  }
+  std::sort(pulses.begin(), pulses.end(),
+            [](const Pulse& a, const Pulse& b) { return a.value < b.value; });
+
+  std::vector<Pulse> merged;
+  merged.reserve(pulses.size());
+  for (const Pulse& pulse : pulses) {
+    if (!merged.empty() && nearly_equal(merged.back().value, pulse.value)) {
+      merged.back().probability += pulse.probability;
+    } else {
+      merged.push_back(pulse);
+    }
+  }
+
+  double total = 0.0;
+  for (const Pulse& pulse : merged) total += pulse.probability;
+  if (!(total > 0.0)) {
+    throw std::invalid_argument("Pmf: total probability mass must be > 0");
+  }
+  for (Pulse& pulse : merged) pulse.probability /= total;
+  return merged;
+}
+
+// Bit-for-bit pulse equality: == would let -0.0 stand in for +0.0.
+void expect_same_bits(const std::vector<Pulse>& got, const std::vector<Pulse>& want,
+                      const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i].value),
+              std::bit_cast<std::uint64_t>(want[i].value))
+        << label << ", pulse " << i;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i].probability),
+              std::bit_cast<std::uint64_t>(want[i].probability))
+        << label << ", pulse " << i;
+  }
+}
+
+void expect_matches_reference_canonicalize(const std::vector<Pulse>& pulses,
+                                           const std::string& label) {
+  ASSERT_NO_FATAL_FAILURE(
+      expect_same_bits(Pmf::from_pulses(pulses).pulses(), reference_canonicalize(pulses), label));
+}
+
+TEST(Pmf, FromPulsesMatchesAlwaysSortingReference) {
+  // Strictly increasing: the sort is skipped. The near-duplicate pair still
+  // merges, as it did after the sort.
+  const std::vector<Pulse> increasing = {
+      {-3.5, 0.25}, {-0.0, 0.5}, {1.0, 0.125}, {1.0 + 1e-13, 0.125}, {7.0, 1.0}};
+  ASSERT_EQ(Pmf::from_pulses(increasing).size(), 4u);
+  expect_matches_reference_canonicalize(increasing, "strictly increasing");
+
+  std::vector<Pulse> descending = increasing;
+  std::reverse(descending.begin(), descending.end());
+  expect_matches_reference_canonicalize(descending, "descending");
+
+  // Exact duplicates whose merged mass depends on the summation order:
+  // 1 + 1e-16 rounds back to 1, but 1e-16 + 1e-16 + 1 does not.
+  ASSERT_NE((1.0 + 1e-16) + 1e-16, (1e-16 + 1e-16) + 1.0);
+  const std::vector<Pulse> heavy_first = {{2.0, 1.0}, {2.0, 1e-16}, {2.0, 1e-16}, {5.0, 1.0}};
+  const std::vector<Pulse> light_first = {{2.0, 1e-16}, {2.0, 1e-16}, {2.0, 1.0}, {5.0, 1.0}};
+  const std::vector<Pulse> unsorted = {{5.0, 1.0}, {2.0, 1e-16}, {2.0, 1.0}, {2.0, 1e-16}};
+  expect_matches_reference_canonicalize(heavy_first, "duplicates, heavy first");
+  expect_matches_reference_canonicalize(light_first, "duplicates, light first");
+  expect_matches_reference_canonicalize(unsorted, "duplicates, unsorted");
+
+  // -0.0 and +0.0 compare equal, so which sign survives the merge is the
+  // sort's placement of the pair.
+  expect_matches_reference_canonicalize({{-0.0, 0.5}, {0.0, 0.5}}, "-0, +0");
+  expect_matches_reference_canonicalize({{0.0, 0.5}, {-0.0, 0.5}}, "+0, -0");
+  expect_matches_reference_canonicalize({{-1.0, 0.25}, {0.0, 0.25}, {-0.0, 0.25}, {1.0, 0.25}},
+                                        "+0, -0 inside increasing values");
+  expect_matches_reference_canonicalize({{1.0, 0.25}, {-0.0, 0.25}, {0.0, 0.25}, {-1.0, 0.25}},
+                                        "-0, +0 inside descending values");
+
+  // Random inputs over a small value set (many exact duplicates), each in
+  // its drawn order, sorted, strictly increasing after deduplication, and
+  // reversed.
+  util::RngStream rng(38);
+  for (int input = 0; input < 500; ++input) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 64));
+    std::vector<Pulse> drawn;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double value = static_cast<double>(rng.uniform_int(-8, 8)) * 0.5;
+      drawn.push_back({value == 0.0 && rng.uniform01() < 0.5 ? -0.0 : value,
+                       rng.uniform01() < 0.2 ? 1e-17 : rng.uniform(0.01, 1.0)});
+    }
+    std::vector<Pulse> sorted = drawn;
+    std::stable_sort(sorted.begin(), sorted.end(),
+                     [](const Pulse& a, const Pulse& b) { return a.value < b.value; });
+    std::vector<Pulse> distinct = sorted;
+    distinct.erase(std::unique(distinct.begin(), distinct.end(),
+                               [](const Pulse& a, const Pulse& b) { return a.value == b.value; }),
+                   distinct.end());
+    std::vector<Pulse> reversed = sorted;
+    std::reverse(reversed.begin(), reversed.end());
+    const std::string id = "input " + std::to_string(input);
+    ASSERT_NO_FATAL_FAILURE(expect_matches_reference_canonicalize(drawn, "drawn " + id));
+    ASSERT_NO_FATAL_FAILURE(expect_matches_reference_canonicalize(sorted, "sorted " + id));
+    ASSERT_NO_FATAL_FAILURE(expect_matches_reference_canonicalize(distinct, "distinct " + id));
+    ASSERT_NO_FATAL_FAILURE(expect_matches_reference_canonicalize(reversed, "reversed " + id));
+  }
 }
 
 // -------------------------------------------------------------- sampling --
