@@ -1,6 +1,11 @@
 // Tests for the message-passing master-worker model and failure injection.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "cdsf/paper_example.hpp"
+#include "obs/report.hpp"
 #include "sim/master_worker.hpp"
 #include "sysmodel/cases.hpp"
 #include "test_support.hpp"
@@ -21,6 +26,40 @@ SimConfig deterministic_config() {
 
 // -------------------------------------------- reduction to the ideal model --
 
+/// Everything a run reports, rendered for an exact cross-executor compare:
+/// the JSON report, every chunk-trace entry, every lifecycle event, and
+/// the flight recorder's per-worker summaries.
+std::string observable(const RunResult& run) {
+  std::string out = obs::to_json(run).dump();
+  const auto add = [&out](auto value) { out += ' ' + std::to_string(value); };
+  for (const ChunkTraceEntry& e : run.trace) {
+    out += "\nchunk";
+    add(e.worker);
+    add(e.iterations);
+    add(e.first);
+    out += ' ' + obs::Json(e.dispatch_time).dump() + ' ' + obs::Json(e.start_time).dump() +
+           ' ' + obs::Json(e.end_time).dump();
+    add(static_cast<int>(e.lost) | static_cast<int>(e.speculative) << 1 |
+        static_cast<int>(e.cancelled) << 2 | static_cast<int>(e.retransmitted) << 3 |
+        static_cast<int>(e.audit) << 4 | static_cast<int>(e.probe) << 5);
+  }
+  for (const LifecycleEvent& e : run.events) {
+    out += "\nevent";
+    add(static_cast<int>(e.kind));
+    out += ' ' + obs::Json(e.time).dump();
+    add(e.worker);
+    add(e.value);
+  }
+  for (const obs::FlightWorkerSummary& w : run.flight.workers) {
+    out += "\nflight " + w.state + ' ' + w.last_event + ' ' + obs::Json(w.last_event_time).dump();
+    add(w.recorded);
+    add(w.dropped);
+    add(w.accepted);
+    add(w.lost);
+  }
+  return out;
+}
+
 TEST(MpiModel, ZeroCostsReduceToIdealExecutor) {
   const auto app = simple_app("a", 100, 900, {1000.0});
   const MessageModel free_messages{0.0, 0.0};
@@ -33,6 +72,85 @@ TEST(MpiModel, ZeroCostsReduceToIdealExecutor) {
     EXPECT_NEAR(mpi.run.makespan, ideal.makespan, 1e-9) << dls::technique_name(id);
     EXPECT_EQ(mpi.run.total_chunks, ideal.total_chunks) << dls::technique_name(id);
   }
+
+  // The differential oracle: with no message cost and no dispatch overhead
+  // both executors run one chunk lifecycle, so every output matches
+  // exactly, gray-failure machinery included. Speculation and crash kinds
+  // are deliberately left out: straggler thresholds, crash detection (a
+  // timeout in the MPI model, instantaneous in the idealized one), the
+  // lost-chunk predicate and the flight crash events still differ by
+  // design between the two transports. So are audit TRIPS: an audit
+  // verdict can quarantine a worker that sits idle, and the idealized
+  // executor's idle-wake scan may still pick that worker for the next
+  // audit (which it then declines) where the MPI scan skips it — so the
+  // silent-corruption arm counts mismatches without letting them trip.
+  enum class Mode { kPlain, kAudits, kDegradeQuarantine, kSilentCorruptAudits };
+  const core::PaperExample paper = core::make_paper_example();
+  std::size_t compared = 0;
+  std::uint64_t audits = 0;
+  std::uint64_t mismatches = 0;
+  std::uint64_t fail_slow_trips = 0;
+  for (dls::TechniqueId id : dls::all_techniques()) {
+    for (int paper_case = 1; paper_case <= 4; ++paper_case) {
+      const sysmodel::AvailabilitySpec spec = sysmodel::paper_case(paper_case);
+      const workload::Application& application =
+          paper.batch.at(static_cast<std::size_t>(paper_case - 1) % 3);
+      const std::size_t type = static_cast<std::size_t>(paper_case - 1) % 2;
+      for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+        SimConfig base;
+        base.scheduling_overhead = 0.0;
+        base.collect_trace = true;
+        base.availability_mode =
+            seed % 2 == 0 ? AvailabilityMode::kIidEpoch : AvailabilityMode::kMarkovEpoch;
+        const RunResult plain = simulate_loop(application, type, 8, spec, id, base, seed);
+        // Failures strike inside the parallel phase.
+        const double onset = plain.serial_end + 0.3 * (plain.makespan - plain.serial_end);
+        for (Mode mode : {Mode::kPlain, Mode::kAudits, Mode::kDegradeQuarantine,
+                          Mode::kSilentCorruptAudits}) {
+          SimConfig config = base;
+          SimConfig::Failure failure;
+          failure.worker = 2;
+          failure.time = onset;
+          switch (mode) {
+            case Mode::kPlain:
+              break;
+            case Mode::kAudits:
+              config.quarantine.enabled = true;
+              config.quarantine.audit_rate = 0.2;
+              break;
+            case Mode::kDegradeQuarantine:
+              config.quarantine.enabled = true;
+              failure.kind = SimConfig::FailureKind::kDegrade;
+              failure.residual_availability = 0.1;
+              config.failures.push_back(failure);
+              break;
+            case Mode::kSilentCorruptAudits:
+              config.quarantine.enabled = true;
+              config.quarantine.audit_rate = 0.2;
+              config.quarantine.audit_mismatch_limit = 1000;
+              failure.kind = SimConfig::FailureKind::kSilentCorrupt;
+              failure.corrupt_probability = 0.5;
+              config.failures.push_back(failure);
+              break;
+          }
+          const RunResult ideal = simulate_loop(application, type, 8, spec, id, config, seed);
+          const MpiRunResult mpi =
+              simulate_loop_mpi(application, type, 8, spec, id, config, free_messages, seed);
+          ASSERT_EQ(observable(mpi.run), observable(ideal))
+              << dls::technique_name(id) << " case " << paper_case << " seed " << seed
+              << " mode " << static_cast<int>(mode);
+          ++compared;
+          audits += ideal.quarantine.audits_launched;
+          mismatches += ideal.quarantine.audit_mismatches;
+          fail_slow_trips += ideal.quarantine.fail_slow_trips;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(compared, dls::all_techniques().size() * 4 * 5 * 4);
+  EXPECT_GT(audits, 0U);
+  EXPECT_GT(mismatches, 0U);
+  EXPECT_GT(fail_slow_trips, 0U);
 }
 
 TEST(MpiModel, LatencyDelaysEveryChunk) {
