@@ -197,6 +197,7 @@ std::string FlightSink::maybe_dump(const FlightRecord& record,
   std::ofstream out(path);
   if (!out) return {};
   out << flight_record_to_json(record, anomaly).dump(1) << "\n";
+  out.flush();  // a dump that never reached the file does not count
   if (!out) return {};
   ++dumped_;
   return path;

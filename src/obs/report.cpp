@@ -483,6 +483,7 @@ void write_json(const Json& document, const std::string& path) {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("write_json: cannot open " + path);
   out << document.dump(1) << "\n";
+  out.flush();  // so a full disk fails here, not silently at close
   if (!out) throw std::runtime_error("write_json: write failed for " + path);
 }
 

@@ -198,6 +198,7 @@ void TraceSink::write(const std::string& path) const {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("TraceSink::write: cannot open " + path);
   out << to_string() << "\n";
+  out.flush();  // so a full disk fails here, not silently at close
   if (!out) throw std::runtime_error("TraceSink::write: write failed for " + path);
 }
 

@@ -130,6 +130,7 @@ void RequestJournal::open(const std::string& path, bool truncate) {
   if (!out_) {
     throw std::runtime_error("RequestJournal: cannot open " + path);
   }
+  path_ = path;
   if (write_header) {
     obs::Json header = obs::Json::object();
     header.set("schema", kServiceJournalSchema);
@@ -162,6 +163,9 @@ void RequestJournal::append_completed(std::uint64_t id, RequestOutcome outcome,
 void RequestJournal::append_line(const std::string& line) {
   out_ << line << '\n';
   out_.flush();  // the ack barrier: acked means on its way to disk
+  // Checked after the flush: a full disk fails the write itself, and a
+  // record that never reached the file must never be acked.
+  if (!out_) throw std::runtime_error("RequestJournal: cannot append to " + path_);
 }
 
 }  // namespace cdsf::svc

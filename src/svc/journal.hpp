@@ -90,21 +90,25 @@ class RequestJournal {
   /// Opens `path` for appending. `truncate` starts a fresh journal
   /// (header rewritten); otherwise appends after the existing content,
   /// writing the header only when the file is new or empty. Throws
-  /// std::runtime_error when the file cannot be opened.
+  /// std::runtime_error when the file cannot be opened or the header
+  /// cannot be written.
   void open(const std::string& path, bool truncate);
 
   [[nodiscard]] bool active() const noexcept { return out_.is_open(); }
 
   /// Appends (and flushes — the ack barrier) an accepted record. No-op
-  /// when inert.
+  /// when inert. Throws std::runtime_error when the record cannot be
+  /// written, so the request is never acked.
   void append_accepted(const ScenarioRequest& request);
 
-  /// Appends (and flushes) a completed record. No-op when inert.
+  /// Appends (and flushes) a completed record. No-op when inert. Throws
+  /// like append_accepted.
   void append_completed(std::uint64_t id, RequestOutcome outcome, std::uint64_t digest);
 
  private:
   void append_line(const std::string& line);
   std::ofstream out_;
+  std::string path_;
 };
 
 }  // namespace cdsf::svc

@@ -103,19 +103,30 @@ void apply_common_flags(const util::Cli& cli) {
   }
 }
 
+/// Writes `text` to `path` and prints "wrote <what><path>". The stream
+/// is flushed before it is checked, so a full disk is an error here too.
+/// Returns 0, or 1 after printing "cannot write".
+int write_text_file(const std::string& path, const std::string& text, const char* what) {
+  std::ofstream out(path);
+  if (out) {
+    out << text;
+    out.flush();
+  }
+  if (!out) {
+    std::fprintf(stderr, "cdsf: cannot write '%s'\n", path.c_str());
+    return 1;
+  }
+  std::printf("wrote %s%s\n", what, path.c_str());
+  return 0;
+}
+
 /// Writes the --metrics-out exposition (if requested) after the command
 /// body ran, so the snapshot covers everything the command did.
 int write_metrics_out(const util::Cli& cli) {
   const std::string path = cli.get_string("metrics-out");
   if (path.empty()) return 0;
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cdsf: cannot write '%s'\n", path.c_str());
-    return 1;
-  }
-  out << obs::to_openmetrics(obs::MetricsRegistry::global().snapshot());
-  std::printf("wrote metrics %s\n", path.c_str());
-  return 0;
+  return write_text_file(path, obs::to_openmetrics(obs::MetricsRegistry::global().snapshot()),
+                         "metrics ");
 }
 
 int cmd_tables(int argc, char** argv) {
@@ -151,14 +162,7 @@ int cmd_template(int argc, char** argv) {
   add_common_flags(cli);
   if (!cli.parse(argc, argv)) return 0;
   apply_common_flags(cli);
-  const std::string path = cli.get_string("out");
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cdsf: cannot write '%s'\n", path.c_str());
-    return 1;
-  }
-  out << core::paper_scenario_text();
-  std::printf("wrote %s\n", path.c_str());
+  if (write_text_file(cli.get_string("out"), core::paper_scenario_text(), "") != 0) return 1;
   return write_metrics_out(cli);
 }
 
@@ -821,13 +825,7 @@ int cmd_metrics(int argc, char** argv) {
     std::fputs(text.c_str(), stdout);
     return write_metrics_out(cli);
   }
-  std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "cdsf: cannot write '%s'\n", out_path.c_str());
-    return 1;
-  }
-  out << text;
-  std::printf("wrote metrics %s\n", out_path.c_str());
+  if (write_text_file(out_path, text, "metrics ") != 0) return 1;
   return write_metrics_out(cli);
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
 #include <limits>
 #include <string>
 
@@ -220,6 +221,15 @@ TEST(ObsReport, MetricsAttachOnlyWhenGlobalRegistryEnabled) {
   EXPECT_EQ(metrics->at("counters").at("test.counter").as_int(), 1);
   global.reset();
   global.set_enabled(was_enabled);
+}
+
+TEST(ObsReport, WriteJsonToAFullDiskThrows) {
+  // A small document sits in the stream buffer until the flush: the write
+  // must fail there, not report success (/dev/full fails every write).
+  if (!std::ofstream("/dev/full")) GTEST_SKIP() << "/dev/full is not writable here";
+  Json doc = Json::object();
+  doc.set("schema", "test");
+  EXPECT_THROW(write_json(doc, "/dev/full"), std::runtime_error);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <limits>
 #include <string>
 #include <vector>
@@ -164,6 +165,15 @@ TEST(ObsTrace, WriteProducesParseableFile) {
   std::remove(path.c_str());
   const Json parsed = Json::parse(text);
   EXPECT_EQ(parsed.at("traceEvents").size(), sink.event_count());
+}
+
+TEST(ObsTrace, WriteToAFullDiskThrows) {
+  // A small trace sits in the stream buffer until the flush: the write
+  // must fail there, not report success (/dev/full fails every write).
+  if (!std::ofstream("/dev/full")) GTEST_SKIP() << "/dev/full is not writable here";
+  TraceSink sink;
+  sink.append_run(tiny_run(), TraceSink::RunOptions{});
+  EXPECT_THROW(sink.write("/dev/full"), std::runtime_error);
 }
 
 }  // namespace

@@ -208,5 +208,16 @@ TEST(ServiceJournal, DigestHexRoundTripsThroughTheFile) {
   EXPECT_EQ(recovered.completed[0].digest, digest);
 }
 
+TEST(ServiceJournal, AppendToAFullDiskThrows) {
+  // /dev/full accepts the open and fails every write with ENOSPC. The
+  // header goes through the same flushed append as every record, so a
+  // journal that cannot persist fails before any request is acked.
+  if (!std::ofstream("/dev/full")) GTEST_SKIP() << "/dev/full is not writable here";
+  for (bool truncate : {true, false}) {
+    RequestJournal journal;
+    EXPECT_THROW(journal.open("/dev/full", truncate), std::runtime_error) << truncate;
+  }
+}
+
 }  // namespace
 }  // namespace cdsf::svc

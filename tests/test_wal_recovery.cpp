@@ -145,5 +145,13 @@ TEST(WalRecovery, MissingFileThrows) {
                std::runtime_error);
 }
 
+TEST(WalRecovery, CheckpointWriteToAFullDiskThrows) {
+  // /dev/full accepts the open and fails every write with ENOSPC: the
+  // buffered checkpoint only fails once it is flushed, and a run that
+  // returned normally would claim a durable checkpoint it never wrote.
+  if (!std::ofstream("/dev/full")) GTEST_SKIP() << "/dev/full is not writable here";
+  EXPECT_THROW(checkpointed_run("/dev/full"), std::runtime_error);
+}
+
 }  // namespace
 }  // namespace cdsf::sim
