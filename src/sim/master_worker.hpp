@@ -14,8 +14,15 @@
 //   * the technique's feedback (record) fires when the master RECEIVES the
 //     completion report, not when the chunk finishes.
 //
-// With zero latency and zero service time this model reduces exactly to
-// simulate_loop (validated by tests).
+// Every run accounts a chunk only when its completion report is ACCEPTED,
+// so lost, falsely suspected, and cancelled copies never reach the worker
+// stats or the technique. The chunk-lifecycle policy is shared with
+// loop_executor.cpp through sim_common; this file owns the transport.
+//
+// With zero latency and service time this model reproduces every output
+// of simulate_loop with zero scheduling_overhead (the differential test
+// MpiModel.ZeroCostsReduceToIdealExecutor), except under speculation,
+// crashes, and audit trips that quarantine an idle worker.
 //
 // The substrate may additionally be UNRELIABLE (SimConfig::channel): a
 // seeded ChannelModel drops, duplicates, and reorders messages (plus
@@ -28,8 +35,11 @@
 // itself can crash and restart (FailureKind::kMasterCrashRestart) from a
 // write-ahead log + periodic snapshots (SimConfig::checkpoint): restart
 // re-dispatches unacked assignments and never re-records completed work.
-// With a clean channel and checkpointing off all of this is structurally
-// disarmed and the executor is bit-identical to the reliable protocol.
+// Which protocol runs: a faulty channel or checkpointing (a master fault
+// implies it) selects the hardened one; otherwise the reliable protocol
+// delivers every message exactly once, one latency after it is sent. The
+// failure detector's timeouts run with crash-kind failures or the
+// hardened protocol; straggler checks run only with speculation enabled.
 //
 // GRAY failures — workers that are wrong rather than dead — are handled by
 // three cooperating layers (shared semantics with loop_executor.cpp):
