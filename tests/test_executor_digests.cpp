@@ -92,6 +92,7 @@ enum class Mode {
   kCrash,
   kCrashRecover,
   kSpeculation,  // speculation + deadline-risk escalation + a degraded worker
+  kSpeculationCrash,  // speculation + a degraded, a crashing and a crash-recover worker
   kGray,         // quarantine + audits + a silently corrupt and a fail-slow worker
   kChannel,      // MPI only: drop / duplicate / reorder / corrupt / burst channel
   kCheckpoint,   // MPI only: checkpointing + a master crash-restart
@@ -142,6 +143,14 @@ SimConfig mode_config(Mode mode, AvailabilityMode availability, double serial_en
       config.deadline_risk.check_interval = 0.1 * span;
       add_failure(config, 1, mid, SimConfig::FailureKind::kDegrade);
       config.failures.back().residual_availability = 0.05;
+      break;
+    case Mode::kSpeculationCrash:
+      config.speculation.enabled = true;
+      add_failure(config, 1, serial_end + 0.2 * span, SimConfig::FailureKind::kDegrade);
+      config.failures.back().residual_availability = 0.05;
+      add_failure(config, 3, mid, SimConfig::FailureKind::kCrash);
+      add_failure(config, 5, serial_end + 0.5 * span, SimConfig::FailureKind::kCrashRecover);
+      config.failures.back().recovery_time = serial_end + 0.7 * span;
       break;
     case Mode::kGray:
       config.quarantine.enabled = true;
@@ -204,6 +213,7 @@ std::vector<Cell> grid() {
 struct Coverage {
   std::uint64_t chunks_lost = 0;
   std::uint64_t backups = 0;
+  std::uint64_t backups_lost = 0;
   std::uint64_t escalations = 0;
   std::uint64_t quarantines = 0;
   std::uint64_t reinstatements = 0;
@@ -214,6 +224,7 @@ struct Coverage {
   void add(const RunResult& run) {
     chunks_lost += run.faults.chunks_lost;
     backups += run.speculation.backups_launched;
+    backups_lost += run.speculation.backups_lost;
     escalations += run.speculation.risk_escalations;
     quarantines += run.quarantine.quarantines;
     reinstatements += run.quarantine.reinstatements;
@@ -268,12 +279,14 @@ TEST(ExecutorDigests, SingleRunsMatchRecordedDigests) {
       {"ideal/crash", false, Mode::kCrash, 0x70aee21dbfee5026ULL},
       {"ideal/crash_recover", false, Mode::kCrashRecover, 0xdf8e2e5e7dbf99b6ULL},
       {"ideal/speculation", false, Mode::kSpeculation, 0x18431fc0ec60f833ULL},
+      {"ideal/speculation_crash", false, Mode::kSpeculationCrash, 0x9fbeb3582a0fe069ULL},
       {"ideal/gray", false, Mode::kGray, 0x6733cf90f50c9fd1ULL},
       {"mpi/plain", true, Mode::kPlain, 0xfc485605b89815b1ULL},
       {"mpi/degrade", true, Mode::kDegrade, 0xa57487717443605aULL},
       {"mpi/crash", true, Mode::kCrash, 0x74c3ead6f618b843ULL},
       {"mpi/crash_recover", true, Mode::kCrashRecover, 0xa57ded9f2db6c657ULL},
       {"mpi/speculation", true, Mode::kSpeculation, 0x208d4829c0882649ULL},
+      {"mpi/speculation_crash", true, Mode::kSpeculationCrash, 0x9f465aa622b28800ULL},
       {"mpi/gray", true, Mode::kGray, 0xe643c29b30585754ULL},
       {"mpi/channel", true, Mode::kChannel, 0x05214cd72314f9f0ULL},
       {"mpi/checkpoint", true, Mode::kCheckpoint, 0x2c87c76db7b57518ULL},
@@ -292,6 +305,12 @@ TEST(ExecutorDigests, SingleRunsMatchRecordedDigests) {
         if (!e.mpi) {
           EXPECT_GT(coverage.escalations, 0U) << e.name;
         }
+        break;
+      case Mode::kSpeculationCrash:
+        // Lost backups reach the sibling-covers and lost-loser paths.
+        EXPECT_GT(coverage.backups, 0U) << e.name;
+        EXPECT_GT(coverage.chunks_lost, 0U) << e.name;
+        EXPECT_GT(coverage.backups_lost, 0U) << e.name;
         break;
       case Mode::kGray:
         EXPECT_GT(coverage.quarantines, 0U) << e.name;
