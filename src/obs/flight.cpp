@@ -1,6 +1,7 @@
 #include "obs/flight.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <fstream>
 #include <stdexcept>
@@ -8,42 +9,17 @@
 namespace cdsf::obs {
 
 const char* flight_event_name(FlightEventKind kind) {
-  switch (kind) {
-    case FlightEventKind::kChunkDispatched: return "chunk_dispatched";
-    case FlightEventKind::kChunkAccepted: return "chunk_accepted";
-    case FlightEventKind::kChunkLost: return "chunk_lost";
-    case FlightEventKind::kChunkCancelled: return "chunk_cancelled";
-    case FlightEventKind::kStragglerFlagged: return "straggler_flagged";
-    case FlightEventKind::kBackupLaunched: return "backup_launched";
-    case FlightEventKind::kBackupWon: return "backup_won";
-    case FlightEventKind::kRetransmit: return "retransmit";
-    case FlightEventKind::kDedupHit: return "dedup_hit";
-    case FlightEventKind::kMessageCorrupted: return "message_corrupted";
-    case FlightEventKind::kWorkerCrashed: return "worker_crashed";
-    case FlightEventKind::kWorkerRecovered: return "worker_recovered";
-    case FlightEventKind::kWorkerSuspected: return "worker_suspected";
-    case FlightEventKind::kWorkerDeclaredDead: return "worker_declared_dead";
-    case FlightEventKind::kWorkerReinstated: return "worker_reinstated";
-    case FlightEventKind::kWorkerQuarantined: return "worker_quarantined";
-    case FlightEventKind::kCanaryProbe: return "canary_probe";
-    case FlightEventKind::kWorkerRestored: return "worker_restored";
-    case FlightEventKind::kAuditLaunched: return "audit_launched";
-    case FlightEventKind::kAuditMismatch: return "audit_mismatch";
-    case FlightEventKind::kRiskEscalated: return "risk_escalated";
-    case FlightEventKind::kRemapTriggered: return "remap_triggered";
-    case FlightEventKind::kWalAppend: return "wal_append";
-    case FlightEventKind::kCheckpoint: return "checkpoint";
-    case FlightEventKind::kMasterCrashed: return "master_crashed";
-    case FlightEventKind::kMasterRestarted: return "master_restarted";
-    case FlightEventKind::kAdmissionRejected: return "admission_rejected";
-    case FlightEventKind::kJobShed: return "job_shed";
-    case FlightEventKind::kOverloadTierChanged: return "overload_tier_changed";
-    case FlightEventKind::kRequestAdmitted: return "request_admitted";
-    case FlightEventKind::kSolveHedged: return "solve_hedged";
-    case FlightEventKind::kSolveTimeout: return "solve_timeout";
-    case FlightEventKind::kDrainComplete: return "drain_complete";
-  }
-  return "unknown";
+  // The cdsf.flight_record/1 names, indexed by kind.
+  static constexpr std::array<const char*, kFlightEventKinds> kNames = {
+      "worker_crashed", "worker_recovered", "worker_suspected", "worker_declared_dead",
+      "worker_reinstated", "chunk_lost", "straggler_flagged", "backup_launched", "chunk_cancelled",
+      "risk_escalated", "retransmit", "dedup_hit", "master_crashed", "master_restarted",
+      "checkpoint", "worker_quarantined", "canary_probe", "worker_restored", "audit_launched",
+      "audit_mismatch", "message_corrupted", "chunk_dispatched", "chunk_accepted", "backup_won",
+      "remap_triggered", "wal_append", "admission_rejected", "job_shed", "overload_tier_changed",
+      "request_admitted", "solve_hedged", "solve_timeout", "drain_complete"};
+  const auto index = static_cast<std::size_t>(kind);
+  return index < kNames.size() ? kNames[index] : "unknown";
 }
 
 FlightRecorder::FlightRecorder(std::size_t workers, std::size_t track_capacity,

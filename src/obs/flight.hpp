@@ -42,35 +42,45 @@ inline constexpr const char* kFlightRecordSchema = "cdsf.flight_record/1";
 /// WAL, checkpoint/restart) that have no single worker.
 inline constexpr std::uint32_t kFlightMasterTrack = 0xFFFFFFFFu;
 
-/// Structured event kinds. Names (see flight_event_name) are part of the
-/// cdsf.flight_record/1 schema; append, don't renumber.
+/// The one taxonomy of Stage II happenings, shared by every sink: the
+/// flight ring, RunResult::events and the Perfetto trace. The names
+/// (flight_event_name) are the cdsf.flight_record/1 schema. The first
+/// kLifecycleKinds kinds are the lifecycle markers that RunResult::events
+/// lists under SimConfig::collect_trace; the executor digests hash their
+/// numeric values, so they keep them and new kinds go at the end. `a`/`b`
+/// below are the recorded payloads (docs/observability.md has the table).
 enum class FlightEventKind : std::uint8_t {
-  kChunkDispatched,
-  kChunkAccepted,
-  kChunkLost,
-  kChunkCancelled,
-  kStragglerFlagged,
-  kBackupLaunched,
-  kBackupWon,
-  kRetransmit,
-  kDedupHit,
-  kMessageCorrupted,
-  kWorkerCrashed,
-  kWorkerRecovered,
-  kWorkerSuspected,
-  kWorkerDeclaredDead,
-  kWorkerReinstated,
-  kWorkerQuarantined,
-  kCanaryProbe,
-  kWorkerRestored,
-  kAuditLaunched,
-  kAuditMismatch,
-  kRiskEscalated,
+  // Lifecycle kinds.
+  kWorkerCrashed,       // availability process crashed (physical event)
+  kWorkerRecovered,     // crashed worker rejoined
+  kWorkerSuspected,     // MPI master: a chunk timeout expired (a = probe number)
+  kWorkerDeclaredDead,  // MPI master: probe budget exhausted
+  kWorkerReinstated,    // MPI master: proof of life from a worker declared dead
+  kChunkLost,           // in-flight chunk reclaimed (a = first, b = iterations)
+  kStragglerFlagged,    // chunk exceeded its straggler threshold (a, b: range)
+  kBackupLaunched,      // speculative backup launched (a, b: range)
+  kChunkCancelled,      // losing copy stopped after the winner finished (a, b: range)
+  kRiskEscalated,       // deadline-risk monitor tightened speculation (a = ordinal)
+  kRetransmit,          // hardened MPI protocol: a message was retransmitted (a = sequence)
+  kDedupHit,            // hardened MPI protocol: a re-delivered message was dropped
+                        // by sequence dedup (a = sequence)
+  kMasterCrashed,       // the MPI master process died
+  kMasterRestarted,     // the master resumed from checkpoint + WAL (a = epoch)
+  kCheckpoint,          // periodic master snapshot (a = WAL length, b = iterations done)
+  kWorkerQuarantined,   // health tracker quarantined the worker
+                        // (a = 0 fail-slow EWMA trip, 1 audit trip)
+  kCanaryProbe,         // canary chunk sent to a quarantined worker (a, b: range)
+  kWorkerRestored,      // quarantined worker reinstated after healthy canaries
+  kAuditLaunched,       // audit replica dispatched on the auditing worker (a, b: range)
+  kAuditMismatch,       // audit disagreed; recorded on the originating worker (a, b: range)
+  kMessageCorrupted,    // hardened MPI protocol: a delivered copy failed its
+                        // checksum and was discarded (a = sequence)
+  // Flight-only kinds.
+  kChunkDispatched,  // (a, b: range)
+  kChunkAccepted,    // (a, b: range)
+  kBackupWon,        // (a, b: range)
   kRemapTriggered,
-  kWalAppend,
-  kCheckpoint,
-  kMasterCrashed,
-  kMasterRestarted,
+  kWalAppend,  // (a = sequence, b = iterations)
   kAdmissionRejected,
   kJobShed,
   kOverloadTierChanged,
@@ -79,6 +89,17 @@ enum class FlightEventKind : std::uint8_t {
   kSolveTimeout,
   kDrainComplete,
 };
+
+/// Number of kinds, and of the leading lifecycle kinds.
+inline constexpr std::size_t kFlightEventKinds =
+    static_cast<std::size_t>(FlightEventKind::kDrainComplete) + 1;
+inline constexpr std::size_t kLifecycleKinds =
+    static_cast<std::size_t>(FlightEventKind::kMessageCorrupted) + 1;
+
+/// True for the kinds RunResult::events lists.
+[[nodiscard]] constexpr bool is_lifecycle_kind(FlightEventKind kind) noexcept {
+  return static_cast<std::size_t>(kind) < kLifecycleKinds;
+}
 
 /// Stable lowercase identifier for a kind ("chunk_accepted", ...).
 [[nodiscard]] const char* flight_event_name(FlightEventKind kind);

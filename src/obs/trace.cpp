@@ -1,6 +1,7 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <fstream>
 #include <limits>
@@ -10,32 +11,18 @@ namespace cdsf::obs {
 
 namespace {
 
-const char* lifecycle_name(sim::LifecycleEvent::Kind kind) {
-  using Kind = sim::LifecycleEvent::Kind;
-  switch (kind) {
-    case Kind::kWorkerCrash: return "worker_crash";
-    case Kind::kWorkerRecover: return "worker_recover";
-    case Kind::kWorkerSuspected: return "worker_suspected";
-    case Kind::kWorkerDeclaredDead: return "worker_declared_dead";
-    case Kind::kWorkerReinstated: return "worker_reinstated";
-    case Kind::kChunkLost: return "chunk_reclaimed";
-    case Kind::kChunkStraggler: return "chunk_straggler";
-    case Kind::kChunkBackup: return "chunk_backup";
-    case Kind::kChunkCancelled: return "chunk_cancelled";
-    case Kind::kRiskEscalated: return "risk_escalated";
-    case Kind::kRetransmit: return "assignment_retransmit";
-    case Kind::kDedupHit: return "dedup_hit";
-    case Kind::kMasterCrash: return "master_crash";
-    case Kind::kMasterRestart: return "master_restart";
-    case Kind::kCheckpoint: return "checkpoint";
-    case Kind::kWorkerQuarantined: return "worker_quarantined";
-    case Kind::kQuarantineProbe: return "quarantine_probe";
-    case Kind::kWorkerRestored: return "worker_restored";
-    case Kind::kAuditLaunched: return "audit_launched";
-    case Kind::kAuditMismatch: return "audit_mismatch";
-    case Kind::kMessageCorrupted: return "message_corrupted";
-  }
-  return "lifecycle";
+/// Perfetto instant name of a lifecycle kind (indexed by kind). These
+/// predate the flight-record names and stay as they are, so existing traces
+/// keep their bytes.
+const char* lifecycle_name(FlightEventKind kind) {
+  static constexpr std::array<const char*, kLifecycleKinds> kNames = {
+      "worker_crash", "worker_recover", "worker_suspected", "worker_declared_dead",
+      "worker_reinstated", "chunk_reclaimed", "chunk_straggler", "chunk_backup", "chunk_cancelled",
+      "risk_escalated", "assignment_retransmit", "dedup_hit", "master_crash", "master_restart",
+      "checkpoint", "worker_quarantined", "quarantine_probe", "worker_restored", "audit_launched",
+      "audit_mismatch", "message_corrupted"};
+  const auto index = static_cast<std::size_t>(kind);
+  return index < kNames.size() ? kNames[index] : "lifecycle";
 }
 
 }  // namespace
@@ -122,7 +109,7 @@ void TraceSink::append_run(const sim::RunResult& run, const RunOptions& options)
   std::vector<double> crash_time(run.workers.size(),
                                  std::numeric_limits<double>::infinity());
   for (const sim::LifecycleEvent& event : run.events) {
-    if (event.kind == sim::LifecycleEvent::Kind::kWorkerCrash &&
+    if (event.kind == FlightEventKind::kWorkerCrashed &&
         event.worker < crash_time.size()) {
       crash_time[event.worker] = std::min(crash_time[event.worker], event.time);
     }

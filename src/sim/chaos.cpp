@@ -437,7 +437,7 @@ void check_run(const RunResult& run, std::int64_t parallel, std::size_t schedule
   for (const LifecycleEvent& event : run.events) {
     if (event.worker >= run.workers.size()) continue;
     switch (event.kind) {
-      case LifecycleEvent::Kind::kWorkerQuarantined:
+      case obs::FlightEventKind::kWorkerQuarantined:
         ++quarantine_events;
         if (open[event.worker] >= 0.0) {
           fail("quarantine_events", "worker " + std::to_string(event.worker) +
@@ -445,7 +445,7 @@ void check_run(const RunResult& run, std::int64_t parallel, std::size_t schedule
         }
         open[event.worker] = event.time;
         break;
-      case LifecycleEvent::Kind::kWorkerRestored:
+      case obs::FlightEventKind::kWorkerRestored:
         ++restore_events;
         if (open[event.worker] < 0.0) {
           fail("quarantine_events", "worker " + std::to_string(event.worker) +
@@ -455,13 +455,13 @@ void check_run(const RunResult& run, std::int64_t parallel, std::size_t schedule
           open[event.worker] = -1.0;
         }
         break;
-      case LifecycleEvent::Kind::kQuarantineProbe:
+      case obs::FlightEventKind::kCanaryProbe:
         ++probe_events;
         break;
-      case LifecycleEvent::Kind::kAuditMismatch:
+      case obs::FlightEventKind::kAuditMismatch:
         ++mismatch_events;
         break;
-      case LifecycleEvent::Kind::kMessageCorrupted:
+      case obs::FlightEventKind::kMessageCorrupted:
         ++corrupt_events;
         break;
       default:

@@ -87,10 +87,10 @@ std::string render_gantt(const RunResult& result, const GanttOptions& options) {
     };
     for (const LifecycleEvent& event : result.events) {
       if (event.worker >= result.workers.size()) continue;
-      if (event.kind == LifecycleEvent::Kind::kWorkerQuarantined) {
+      if (event.kind == obs::FlightEventKind::kWorkerQuarantined) {
         any_quarantine = true;
         open[event.worker] = event.time;
-      } else if (event.kind == LifecycleEvent::Kind::kWorkerRestored &&
+      } else if (event.kind == obs::FlightEventKind::kWorkerRestored &&
                  open[event.worker] >= 0.0) {
         close_span(event.worker, open[event.worker], event.time);
         open[event.worker] = -1.0;
@@ -107,8 +107,8 @@ std::string render_gantt(const RunResult& result, const GanttOptions& options) {
   std::string master_row(options.width, ' ');
   for (const LifecycleEvent& event : result.events) {
     char glyph = '\0';
-    if (event.kind == LifecycleEvent::Kind::kMasterCrash) glyph = '%';
-    if (event.kind == LifecycleEvent::Kind::kMasterRestart) glyph = '@';
+    if (event.kind == obs::FlightEventKind::kMasterCrashed) glyph = '%';
+    if (event.kind == obs::FlightEventKind::kMasterRestarted) glyph = '@';
     if (glyph != '\0') {
       master_row[column(event.time)] = glyph;
       any_master_event = true;
@@ -120,7 +120,7 @@ std::string render_gantt(const RunResult& result, const GanttOptions& options) {
   bool any_corrupted = false;
   std::string channel_row(options.width, ' ');
   for (const LifecycleEvent& event : result.events) {
-    if (event.kind == LifecycleEvent::Kind::kMessageCorrupted) {
+    if (event.kind == obs::FlightEventKind::kMessageCorrupted) {
       channel_row[column(event.time)] = '*';
       any_corrupted = true;
     }

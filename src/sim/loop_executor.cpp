@@ -57,15 +57,14 @@ RunResult run_ideal_loop(const workload::Application& application, const SimConf
   const bool crash_mode = detail::has_crash_failures(config);
 
   RunResult result;
-  // Always-on flight recorder: bounded per-worker rings, merged into
-  // result.flight by finish_run. Recording never touches the RNG, the
-  // trace, or the event list, so enabling it cannot perturb the run.
-  obs::FlightRecorder flight(processors, config.flight.track_capacity,
-                             config.flight.enabled && obs::flight_recording_enabled());
+  // Every happening goes through this writer: the always-on flight
+  // recorder (merged into result.flight by finish_run; recording never
+  // touches the RNG) and, with collect_trace, the lifecycle events.
+  detail::EventWriter events(config, processors, result);
   // Serial iterations on the master (worker 0). Master failures are
   // MPI-only (this executor has no explicit coordinator).
   const double serial_end = detail::run_prologue(
-      result, application, config, input_factor, mean_iter[0], stddev_iter[0], workers,
+      result, events, application, config, input_factor, mean_iter[0], stddev_iter[0], workers,
       run_rng,
       "simulate_loop: master crashed during the serial phase — the serial "
       "iterations have no fault tolerance (re-dispatch needs a live master)");
@@ -107,9 +106,8 @@ RunResult run_ideal_loop(const workload::Application& application, const SimConf
   // it (affects chunks dispatched AFTER the escalation).
   double quantile = config.speculation.quantile;
 
-  detail::ChunkEvents chunk_events(config, result, flight);
   detail::GrayPolicy gray(config, workers, seed, input_factor, config.scheduling_overhead,
-                          result, flight);
+                          result, events);
 
   std::function<void(std::size_t)> request;
 
@@ -152,8 +150,8 @@ RunResult run_ideal_loop(const workload::Application& application, const SimConf
   auto cancel_copy = [&](Task& task, Copy& copy, bool is_backup) {
     engine.cancel(copy.completion);
     copy.live = false;
-    chunk_events.cancelled(copy.worker, task.range, is_backup, sunk_work(copy),
-                           copy.trace_index, engine.now());
+    events.cancelled(copy.worker, task.range, is_backup, sunk_work(copy), copy.trace_index,
+                     engine.now());
     running[copy.worker] = nullptr;
     request(copy.worker);
   };
@@ -191,12 +189,10 @@ RunResult run_ideal_loop(const workload::Application& application, const SimConf
     stats.overhead_time += config.scheduling_overhead;
     result.total_chunks += 1;
     completed_iterations += task->range.count;
-    flight.record(obs::FlightEventKind::kChunkAccepted, end_time,
-                  static_cast<std::uint32_t>(w), task->range.first, task->range.count);
+    events.emit(obs::FlightEventKind::kChunkAccepted, end_time, w, task->range);
     if (is_backup) {
       result.speculation.backups_won += 1;
-      flight.record(obs::FlightEventKind::kBackupWon, end_time,
-                    static_cast<std::uint32_t>(w), task->range.first, task->range.count);
+      events.emit(obs::FlightEventKind::kBackupWon, end_time, w, task->range);
     }
     technique.record(dls::ChunkResult{w, task->range.count, end_time - winner.start_time,
                                       end_time - winner.dispatch_time});
@@ -227,10 +223,8 @@ RunResult run_ideal_loop(const workload::Application& application, const SimConf
     task->backup = Copy{v, !t.lost, t.lost, t.dispatch, t.start, Engine::kNoEvent, -1};
     running[v] = task;
     result.speculation.backups_launched += 1;
-    flight.record(obs::FlightEventKind::kBackupLaunched, t.dispatch,
-                  static_cast<std::uint32_t>(v), range.first, range.count);
+    events.emit(obs::FlightEventKind::kBackupLaunched, t.dispatch, v, range);
     if (config.collect_trace) {
-      result.events.push_back({LifecycleEvent::Kind::kChunkBackup, t.dispatch, v, range.count});
       task->backup.trace_index = static_cast<std::ptrdiff_t>(result.trace.size());
       result.trace.push_back(
           {v, range.count, t.dispatch, t.start, t.end, t.lost, range.first, true, false});
@@ -254,8 +248,7 @@ RunResult run_ideal_loop(const workload::Application& application, const SimConf
     task->probe = is_probe;
     task->primary = Copy{w, !t.lost, t.lost, t.dispatch, t.start, Engine::kNoEvent, -1};
     running[w] = task;
-    flight.record(obs::FlightEventKind::kChunkDispatched, t.dispatch,
-                  static_cast<std::uint32_t>(w), range.first, range.count);
+    events.emit(obs::FlightEventKind::kChunkDispatched, t.dispatch, w, range);
     if (config.collect_trace) {
       task->primary.trace_index = static_cast<std::ptrdiff_t>(result.trace.size());
       result.trace.push_back({w, range.count, t.dispatch, t.start, t.end, t.lost, range.first,
@@ -273,7 +266,7 @@ RunResult run_ideal_loop(const workload::Application& application, const SimConf
       engine.schedule_at(t.start + threshold, [&, task, w] {
         if (task->done || task->flagged || task->has_backup) return;
         task->flagged = true;
-        chunk_events.straggler(w, task->range, engine.now());
+        events.straggler(w, task->range, engine.now());
         for (std::size_t v = 0; v < processors; ++v) {
           if (idle[v] && !dead[v]) {
             idle[v] = 0;
@@ -362,8 +355,9 @@ RunResult run_ideal_loop(const workload::Application& application, const SimConf
       if (!workers[w].crashes()) continue;
       engine.schedule_at(workers[w].crash_time, [&, w] {
         dead[w] = 1;
-        flight.record(obs::FlightEventKind::kWorkerCrashed, engine.now(),
-                      static_cast<std::uint32_t>(w));
+        // Flight ring only, here and at the recovery: run_prologue already
+        // listed both instants.
+        events.record(obs::FlightEventKind::kWorkerCrashed, engine.now(), w);
         Task* task = running[w];
         if (task == nullptr) return;
         const bool is_backup = task->has_backup && task->backup.worker == w;
@@ -371,7 +365,7 @@ RunResult run_ideal_loop(const workload::Application& application, const SimConf
         if (!copy.lost) return;  // completes exactly at crash time; allowed
         running[w] = nullptr;
         copy.lost = false;
-        chunk_events.lost(w, task->range, is_backup, sunk_work(copy), engine.now());
+        events.lost(w, task->range, is_backup, sunk_work(copy), engine.now());
         // Exactly-once: the range returns to the pool ONLY when no other
         // copy of the task can still deliver it (the winner already did, or
         // a live/pending-reclaim sibling copy covers it).
@@ -391,8 +385,7 @@ RunResult run_ideal_loop(const workload::Application& application, const SimConf
       if (std::isfinite(workers[w].recovery_time) && workers[w].recovery_time > serial_end) {
         engine.schedule_at(workers[w].recovery_time, [&, w] {
           dead[w] = 0;
-          flight.record(obs::FlightEventKind::kWorkerRecovered, engine.now(),
-                        static_cast<std::uint32_t>(w));
+          events.record(obs::FlightEventKind::kWorkerRecovered, engine.now(), w);
           request(w);
         });
       }
@@ -436,14 +429,9 @@ RunResult run_ideal_loop(const workload::Application& application, const SimConf
             quantile = std::max(config.speculation.min_quantile,
                                 quantile * config.speculation.escalation_factor);
             result.speculation.risk_escalations += 1;
-            flight.record(obs::FlightEventKind::kRiskEscalated, engine.now(),
-                          obs::kFlightMasterTrack,
-                          static_cast<std::int64_t>(result.speculation.risk_escalations));
-            if (config.collect_trace) {
-              result.events.push_back(
-                  {LifecycleEvent::Kind::kRiskEscalated, engine.now(), 0,
-                   static_cast<std::int64_t>(result.speculation.risk_escalations)});
-            }
+            events.emit(obs::FlightEventKind::kRiskEscalated, engine.now(),
+                        obs::kFlightMasterTrack,
+                        static_cast<std::int64_t>(result.speculation.risk_escalations));
           }
         }
         engine.schedule_after(config.deadline_risk.check_interval, risk_check);
@@ -476,7 +464,7 @@ RunResult run_ideal_loop(const workload::Application& application, const SimConf
     engine.run();
   }
 
-  detail::finish_run(result, config, flight, gray, engine.now(),
+  detail::finish_run(result, config, events, gray, engine.now(),
                      crash_mode ? pool.pending() : 0, "simulate_loop",
                      " iterations stranded by crashes with no surviving worker to "
                      "re-dispatch to");

@@ -411,40 +411,12 @@ struct ChunkTraceEntry {
 /// Scheduler lifecycle moment recorded alongside the chunk trace (only
 /// with SimConfig::collect_trace) for the observability layer — the
 /// events obs::TraceSink renders as instant markers on the worker tracks.
+/// `kind` is one of the lifecycle kinds of obs::FlightEventKind; the
+/// executors' one event writer derives the marker from the flight event:
+/// a master-track event lists worker 0, and `value` is the kind's count,
+/// sequence, ordinal or cause, or 0 (docs/observability.md).
 struct LifecycleEvent {
-  enum class Kind {
-    kWorkerCrash,         // availability process crashed (physical event)
-    kWorkerRecover,       // crashed worker rejoined
-    kWorkerSuspected,     // MPI master: a chunk timeout expired (probe #value)
-    kWorkerDeclaredDead,  // MPI master: probe budget exhausted
-    kWorkerReinstated,    // MPI master: late report from a falsely-suspected worker
-    kChunkLost,           // in-flight chunk reclaimed (value = iterations)
-    kChunkStraggler,      // chunk exceeded its straggler threshold (value = iterations)
-    kChunkBackup,         // speculative backup launched (value = iterations)
-    kChunkCancelled,      // losing copy stopped after the winner finished
-    kRiskEscalated,       // deadline-risk monitor tightened speculation
-                          // (value = escalation ordinal)
-    kRetransmit,          // hardened MPI protocol: a message to/from worker
-                          // `worker` was retransmitted (value = sequence)
-    kDedupHit,            // hardened MPI protocol: a re-delivered message
-                          // was dropped by sequence dedup (value = sequence)
-    kMasterCrash,         // the master process died (worker field unused)
-    kMasterRestart,       // the master resumed from checkpoint + WAL
-    kCheckpoint,          // periodic master snapshot (value = WAL length)
-    kWorkerQuarantined,   // health tracker quarantined the worker
-                          // (value = 0 fail-slow EWMA trip, 1 audit trip)
-    kQuarantineProbe,     // canary chunk sent to a quarantined worker
-                          // (value = iterations)
-    kWorkerRestored,      // quarantined worker reinstated after
-                          // probe_successes healthy canaries
-    kAuditLaunched,       // audit replica dispatched (value = iterations;
-                          // worker = auditing worker)
-    kAuditMismatch,       // audit result disagreed with the original
-                          // (worker = the suspect originating worker)
-    kMessageCorrupted,    // hardened MPI protocol: a delivered copy failed
-                          // its checksum and was discarded (value = sequence)
-  };
-  Kind kind = Kind::kWorkerCrash;
+  obs::FlightEventKind kind = obs::FlightEventKind::kWorkerCrashed;
   double time = 0.0;
   std::size_t worker = 0;
   std::int64_t value = 0;

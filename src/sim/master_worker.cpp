@@ -95,26 +95,25 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
   const bool speculate = config.speculation.enabled;
 
   MpiRunResult result;
-  // Always-on flight recorder: bounded per-worker rings, merged into
-  // result.run.flight by finish_run. Recording never touches the RNG,
-  // the trace, or the event list, so enabling it cannot perturb the run.
-  obs::FlightRecorder flight(processors, config.flight.track_capacity,
-                             config.flight.enabled && obs::flight_recording_enabled());
+  // Every happening goes through this writer: the always-on flight
+  // recorder (merged into result.run.flight by finish_run; recording never
+  // touches the RNG) and, with collect_trace, the lifecycle events.
+  detail::EventWriter events(config, processors, result.run);
   // Serial iterations on worker 0 before the parallel loop opens.
   const double serial_end = detail::run_prologue(
-      result.run, application, config, prepared.input_factor, prepared.mean_iter,
+      result.run, events, application, config, prepared.input_factor, prepared.mean_iter,
       prepared.stddev_iter, prepared.workers, prepared.run_rng,
       "simulate_loop_mpi: worker 0 crashed during the serial phase — the serial "
       "iterations have no fault tolerance (re-dispatch needs the loop to open)");
   // Crash/recovery instants are known up front (the availability process
   // carries them); the merge sort in finish() interleaves them correctly.
+  // Flight ring only: run_prologue already listed them.
   for (std::size_t w = 0; w < processors; ++w) {
     if (!prepared.workers[w].crashes()) continue;
-    flight.record(obs::FlightEventKind::kWorkerCrashed, prepared.workers[w].crash_time,
-                  static_cast<std::uint32_t>(w));
+    events.record(obs::FlightEventKind::kWorkerCrashed, prepared.workers[w].crash_time, w);
     if (std::isfinite(prepared.workers[w].recovery_time)) {
-      flight.record(obs::FlightEventKind::kWorkerRecovered,
-                    prepared.workers[w].recovery_time, static_cast<std::uint32_t>(w));
+      events.record(obs::FlightEventKind::kWorkerRecovered, prepared.workers[w].recovery_time,
+                    w);
     }
   }
 
@@ -168,12 +167,11 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
   std::deque<std::pair<std::size_t, std::uint64_t>> stragglers;
   double quantile = config.speculation.quantile;
 
-  detail::ChunkEvents chunk_events(config, result.run, flight);
   // Gray-failure policy (dormant when disarmed). The slowdown baseline's
   // dispatch cost is one message latency: the assignment's travel, not the
   // report's.
   detail::GrayPolicy gray(config, prepared.workers, seed, prepared.input_factor,
-                          messages.latency, result.run, flight);
+                          messages.latency, result.run, events);
   std::vector<std::uint64_t> audit_epoch(processors, 0);
   std::vector<char> probe_pending(processors, 0);  // canary service queued
 
@@ -252,12 +250,7 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
     Outstanding& out = outstanding[w];
     if (!out.active) return;
     out.active = false;
-    flight.record(obs::FlightEventKind::kChunkLost, engine.now(),
-                  static_cast<std::uint32_t>(w), out.range.first, out.range.count);
-    if (config.collect_trace) {
-      result.run.events.push_back(
-          {LifecycleEvent::Kind::kChunkLost, engine.now(), w, out.range.count});
-    }
+    events.emit(obs::FlightEventKind::kChunkLost, engine.now(), w, out.range);
     if (out.lost) {
       result.run.faults.chunks_lost += 1;
       const double detect_latency =
@@ -301,24 +294,15 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
         Outstanding& out = outstanding[w];
         if (!out.active || out.id != id) return;
         out.probes += 1;
-        flight.record(obs::FlightEventKind::kWorkerSuspected, engine.now(),
-                      static_cast<std::uint32_t>(w), static_cast<std::int64_t>(out.probes));
-        if (config.collect_trace) {
-          result.run.events.push_back({LifecycleEvent::Kind::kWorkerSuspected, engine.now(),
-                                       w, static_cast<std::int64_t>(out.probes)});
-        }
+        events.emit(obs::FlightEventKind::kWorkerSuspected, engine.now(), w,
+                    static_cast<std::int64_t>(out.probes));
         if (out.probes >= config.fault_detection.max_probes) {
           declared_dead[w] = 1;
-          flight.record(obs::FlightEventKind::kWorkerDeclaredDead, engine.now(),
-                        static_cast<std::uint32_t>(w));
+          events.emit(obs::FlightEventKind::kWorkerDeclaredDead, engine.now(), w);
           // An undelivered hardened assignment is a lost MESSAGE, not a
           // suspicion of a live worker mid-report.
           if (!out.lost && out.delivered) result.run.faults.false_suspicions += 1;
           CDSF_LOG_TRACE << "mpi master declares worker " << w << " dead at " << engine.now();
-          if (config.collect_trace) {
-            result.run.events.push_back(
-                {LifecycleEvent::Kind::kWorkerDeclaredDead, engine.now(), w, 0});
-          }
           reclaim_outstanding(w);
           return;
         }
@@ -410,12 +394,7 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
         engine.schedule_after(delay, [&, w, seq] {
           result.run.channel.corrupted += 1;
           result.run.channel.corrupt_discarded += 1;
-          flight.record(obs::FlightEventKind::kMessageCorrupted, engine.now(),
-                        static_cast<std::uint32_t>(w), seq);
-          if (config.collect_trace) {
-            result.run.events.push_back(
-                {LifecycleEvent::Kind::kMessageCorrupted, engine.now(), w, seq});
-          }
+          events.emit(obs::FlightEventKind::kMessageCorrupted, engine.now(), w, seq);
         });
         continue;
       }
@@ -453,12 +432,7 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
             return;
           }
           result.run.channel.retransmits += 1;
-          flight.record(obs::FlightEventKind::kRetransmit, engine.now(),
-                        static_cast<std::uint32_t>(w), seq);
-          if (config.collect_trace) {
-            result.run.events.push_back(
-                {LifecycleEvent::Kind::kRetransmit, engine.now(), w, seq});
-          }
+          events.emit(obs::FlightEventKind::kRetransmit, engine.now(), w, seq);
           if (on_retransmit) on_retransmit();
           transmit(to_worker, w, seq, rto * chan.rto_backoff, retries_left - 1, epoch,
                    std::move(resolved), std::move(on_retransmit), std::move(deliver));
@@ -471,8 +445,8 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
     if (!checkpointing) return;
     result.run.wal.push_back({kind, engine.now(), w, seqno, first, count});
     result.run.checkpoint.wal_records += 1;
-    flight.record(obs::FlightEventKind::kWalAppend, engine.now(), obs::kFlightMasterTrack,
-                  static_cast<std::int64_t>(seqno), count);
+    events.emit(obs::FlightEventKind::kWalAppend, engine.now(), obs::kFlightMasterTrack,
+                static_cast<std::int64_t>(seqno), count);
   };
 
   // Draws the work of `range` on worker w and times it from `start_time`.
@@ -497,12 +471,7 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
   // sequence dedup.
   auto dedup_hit = [&](std::size_t w, std::uint64_t seq) {
     result.run.channel.dedup_hits += 1;
-    flight.record(obs::FlightEventKind::kDedupHit, engine.now(), static_cast<std::uint32_t>(w),
-                  static_cast<std::int64_t>(seq));
-    if (config.collect_trace) {
-      result.run.events.push_back(
-          {LifecycleEvent::Kind::kDedupHit, engine.now(), w, static_cast<std::int64_t>(seq)});
-    }
+    events.emit(obs::FlightEventKind::kDedupHit, engine.now(), w, static_cast<std::int64_t>(seq));
   };
 
   // Re-executes an accepted chunk on independent worker v and compares.
@@ -560,12 +529,12 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
       // winner resolves the race, but the copy is accounted as LOST (as the
       // reclaim path would do), not cancelled — there is no report to
       // cancel, no cancel notice to deliver, and no request to solicit.
-      chunk_events.lost(v, out.range, out.speculative, sunk, now);
+      events.lost(v, out.range, out.speculative, sunk, now);
       return;
     }
     if (hardened) cancelled_seq[v] = std::max(cancelled_seq[v], out.id);
     engine.cancel(out.report_event);
-    chunk_events.cancelled(v, out.range, out.speculative, sunk, out.trace_index, now);
+    events.cancelled(v, out.range, out.speculative, sunk, out.trace_index, now);
     const double receive = now + messages.latency;
     if (!(prepared.workers[v].crash_time <= receive &&
           receive < prepared.workers[v].recovery_time)) {
@@ -588,11 +557,7 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
     if (!declared_dead[w]) return false;
     declared_dead[w] = 0;
     timeout_scale[w] *= 2.0;
-    flight.record(obs::FlightEventKind::kWorkerReinstated, engine.now(),
-                  static_cast<std::uint32_t>(w));
-    if (config.collect_trace) {
-      result.run.events.push_back({LifecycleEvent::Kind::kWorkerReinstated, engine.now(), w, 0});
-    }
+    events.emit(obs::FlightEventKind::kWorkerReinstated, engine.now(), w);
     return true;
   };
 
@@ -623,12 +588,10 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
     result.run.total_chunks += 1;
     result.run.makespan = std::max(result.run.makespan, end_time);
     completed += out.range.count;
-    flight.record(obs::FlightEventKind::kChunkAccepted, engine.now(),
-                  static_cast<std::uint32_t>(w), out.range.first, out.range.count);
+    events.emit(obs::FlightEventKind::kChunkAccepted, engine.now(), w, out.range);
     if (out.speculative) {
       result.run.speculation.backups_won += 1;
-      flight.record(obs::FlightEventKind::kBackupWon, engine.now(),
-                    static_cast<std::uint32_t>(w), out.range.first, out.range.count);
+      events.emit(obs::FlightEventKind::kBackupWon, engine.now(), w, out.range);
     }
     technique->record(
         dls::ChunkResult{w, out.range.count, end_time - start_time, end_time - dispatch_time});
@@ -795,15 +758,11 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
       out.trace_index = static_cast<std::ptrdiff_t>(result.run.trace.size());
       result.run.trace.push_back({w, range.count, dispatch_time, start_time, end_time, lost,
                                   range.first, speculative, false, false, false, probe});
-      if (speculative) {
-        result.run.events.push_back(
-            {LifecycleEvent::Kind::kChunkBackup, dispatch_time, w, range.count});
-      }
     }
     outstanding[w] = out;
-    flight.record(speculative ? obs::FlightEventKind::kBackupLaunched
-                              : obs::FlightEventKind::kChunkDispatched,
-                  dispatch_time, static_cast<std::uint32_t>(w), range.first, range.count);
+    events.emit(speculative ? obs::FlightEventKind::kBackupLaunched
+                            : obs::FlightEventKind::kChunkDispatched,
+                dispatch_time, w, range);
     wal_append(WalRecord::Kind::kAssign, w, id, range.first, range.count);
     CDSF_LOG_TRACE << "mpi worker " << w
                    << (speculative ? " backup " : probe ? " canary " : " chunk ")
@@ -885,7 +844,7 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
     engine.schedule_at(start_time + threshold + messages.latency, [&, w, id] {
       Outstanding& out = outstanding[w];
       if (!out.active || out.id != id || out.has_partner) return;
-      chunk_events.straggler(w, out.range, engine.now());
+      events.straggler(w, out.range, engine.now());
       for (std::size_t v = 0; v < processors; ++v) {
         if (idle[v] && !declared_dead[v] && !(gray.armed && gray.health.quarantined(v))) {
           idle[v] = 0;
@@ -943,14 +902,10 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
       // double-assigning.
       result.run.channel.dedup_hits += 1;
       result.run.channel.retransmits += 1;
-      flight.record(obs::FlightEventKind::kRetransmit, engine.now(),
-                    static_cast<std::uint32_t>(w), static_cast<std::int64_t>(out.id));
-      if (config.collect_trace) {
-        result.run.events.push_back({LifecycleEvent::Kind::kRetransmit, engine.now(), w,
-                                     static_cast<std::int64_t>(out.id)});
-        if (out.trace_index >= 0) {
-          result.run.trace[static_cast<std::size_t>(out.trace_index)].retransmitted = true;
-        }
+      events.emit(obs::FlightEventKind::kRetransmit, engine.now(), w,
+                  static_cast<std::int64_t>(out.id));
+      if (config.collect_trace && out.trace_index >= 0) {
+        result.run.trace[static_cast<std::size_t>(out.trace_index)].retransmitted = true;
       }
       const std::uint64_t id = out.id;
       const detail::IterationPool::Range range = out.range;
@@ -963,9 +918,11 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
     }
     if (idle[w]) {
       // Benched worker re-requesting: the bench notice was lost — resend.
+      // Flight ring only: this dedup hit has never been a lifecycle marker,
+      // and listing it now would change every traced hardened run.
       result.run.channel.dedup_hits += 1;
-      flight.record(obs::FlightEventKind::kDedupHit, engine.now(),
-                    static_cast<std::uint32_t>(w), static_cast<std::int64_t>(rseq));
+      events.record(obs::FlightEventKind::kDedupHit, engine.now(), w,
+                    static_cast<std::int64_t>(rseq));
       send_bench(w, rseq);
       return;
     }
@@ -1083,8 +1040,6 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
     master_down = false;
     master_free_at = std::max(master_free_at, now);
     result.run.checkpoint.master_restarts += 1;
-    flight.record(obs::FlightEventKind::kMasterRestarted, now, obs::kFlightMasterTrack,
-                  static_cast<std::int64_t>(master_epoch));
     // A restart before the loop kicked off (crash inside the serial phase)
     // has nothing to reconcile and must NOT wake workers — the parallel
     // loop opens at serial_end, not at the master's recovery. A restart
@@ -1160,10 +1115,11 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
         }
       }
     }
+    // Recorded once reconciliation is done: its reclaims list their lost
+    // chunks first, and it records nothing on the master track.
+    events.emit(obs::FlightEventKind::kMasterRestarted, now, obs::kFlightMasterTrack,
+                static_cast<std::int64_t>(master_epoch));
     wal_append(WalRecord::Kind::kRestart, 0, master_epoch, 0, 0);
-    if (config.collect_trace) {
-      result.run.events.push_back({LifecycleEvent::Kind::kMasterRestart, now, 0, 0});
-    }
     CDSF_LOG_TRACE << "mpi master restarted at " << now;
     if (loop_open) wake_idle();
   };
@@ -1190,12 +1146,8 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
     if (!master_down) {
       wal_append(WalRecord::Kind::kSnapshot, 0, master_epoch, 0, completed);
       result.run.checkpoint.snapshots += 1;
-      flight.record(obs::FlightEventKind::kCheckpoint, engine.now(), obs::kFlightMasterTrack,
-                    static_cast<std::int64_t>(result.run.wal.size()), completed);
-      if (config.collect_trace) {
-        result.run.events.push_back({LifecycleEvent::Kind::kCheckpoint, engine.now(), 0,
-                                     static_cast<std::int64_t>(result.run.wal.size())});
-      }
+      events.emit(obs::FlightEventKind::kCheckpoint, engine.now(), obs::kFlightMasterTrack,
+                  static_cast<std::int64_t>(result.run.wal.size()), completed);
     }
     engine.schedule_after(config.checkpoint.interval, snapshot_tick);
   };
@@ -1267,12 +1219,7 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
       engine.schedule_at(master_fault->time, [&] {
         master_down = true;
         master_epoch += 1;  // every pending master-side timer is now stale
-        flight.record(obs::FlightEventKind::kMasterCrashed, engine.now(),
-                      obs::kFlightMasterTrack);
-        if (config.collect_trace) {
-          result.run.events.push_back(
-              {LifecycleEvent::Kind::kMasterCrash, engine.now(), 0, 0});
-        }
+        events.emit(obs::FlightEventKind::kMasterCrashed, engine.now(), obs::kFlightMasterTrack);
         CDSF_LOG_TRACE << "mpi master crashed at " << engine.now();
       });
       engine.schedule_at(master_fault->recovery_time, [&] { master_restart(); });
@@ -1286,7 +1233,7 @@ MpiRunResult simulate_loop_mpi(const workload::Application& application,
     engine.run();
   }
 
-  detail::finish_run(result.run, config, flight, gray, engine.now(),
+  detail::finish_run(result.run, config, events, gray, engine.now(),
                      application.parallel_iterations() - completed, "simulate_loop_mpi",
                      " iterations stranded by crashes (fault detection disabled or no "
                      "surviving worker to re-dispatch to)");

@@ -353,16 +353,54 @@ PreparedRun prepare_run(const workload::Application& application, std::size_t pr
   return run;
 }
 
-void ChunkEvents::straggler(std::size_t w, IterationPool::Range range, double now) {
-  result_.speculation.stragglers_flagged += 1;
-  flight_.record(obs::FlightEventKind::kStragglerFlagged, now, static_cast<std::uint32_t>(w),
-                 range.first, range.count);
-  if (trace_) {
-    result_.events.push_back({LifecycleEvent::Kind::kChunkStraggler, now, w, range.count});
+namespace {
+
+/// The lifecycle marker's `value` for a kind, from its flight payload.
+std::int64_t lifecycle_value(obs::FlightEventKind kind, std::int64_t a, std::int64_t b) {
+  using Kind = obs::FlightEventKind;
+  switch (kind) {
+    case Kind::kChunkLost:
+    case Kind::kStragglerFlagged:
+    case Kind::kBackupLaunched:
+    case Kind::kChunkCancelled:
+    case Kind::kCanaryProbe:
+    case Kind::kAuditLaunched:
+    case Kind::kAuditMismatch:
+      return b;  // the chunk's iteration count
+    case Kind::kWorkerSuspected:
+    case Kind::kRiskEscalated:
+    case Kind::kRetransmit:
+    case Kind::kDedupHit:
+    case Kind::kCheckpoint:
+    case Kind::kWorkerQuarantined:
+    case Kind::kMessageCorrupted:
+      return a;  // probe number, ordinal, sequence, WAL length or trip cause
+    default:
+      return 0;  // kMasterRestarted's `a` (the epoch) is flight-only
   }
 }
 
-void ChunkEvents::cancelled(std::size_t w, IterationPool::Range range, bool backup,
+}  // namespace
+
+EventWriter::EventWriter(const SimConfig& config, std::size_t workers, RunResult& result)
+    : trace_(config.collect_trace),
+      result_(result),
+      flight_(workers, config.flight.track_capacity,
+              config.flight.enabled && obs::flight_recording_enabled()) {}
+
+void EventWriter::list(obs::FlightEventKind kind, double time, std::size_t w, std::int64_t a,
+                       std::int64_t b) {
+  if (!trace_ || !obs::is_lifecycle_kind(kind)) return;
+  result_.events.push_back(
+      {kind, time, w == obs::kFlightMasterTrack ? 0 : w, lifecycle_value(kind, a, b)});
+}
+
+void EventWriter::straggler(std::size_t w, IterationPool::Range range, double now) {
+  result_.speculation.stragglers_flagged += 1;
+  emit(obs::FlightEventKind::kStragglerFlagged, now, w, range);
+}
+
+void EventWriter::cancelled(std::size_t w, IterationPool::Range range, bool backup,
                             double sunk, std::ptrdiff_t trace_index, double now) {
   result_.speculation.cancelled_work += sunk;
   if (backup) {
@@ -370,30 +408,25 @@ void ChunkEvents::cancelled(std::size_t w, IterationPool::Range range, bool back
   } else {
     result_.speculation.primaries_cancelled += 1;
   }
-  flight_.record(obs::FlightEventKind::kChunkCancelled, now, static_cast<std::uint32_t>(w),
-                 range.first, range.count);
-  if (!trace_) return;
-  result_.events.push_back({LifecycleEvent::Kind::kChunkCancelled, now, w, range.count});
-  if (trace_index >= 0) {
+  emit(obs::FlightEventKind::kChunkCancelled, now, w, range);
+  if (trace_ && trace_index >= 0) {
     ChunkTraceEntry& entry = result_.trace[static_cast<std::size_t>(trace_index)];
     entry.cancelled = true;
     entry.end_time = std::min(now, entry.end_time);
   }
 }
 
-void ChunkEvents::lost(std::size_t w, IterationPool::Range range, bool backup, double wasted,
+void EventWriter::lost(std::size_t w, IterationPool::Range range, bool backup, double wasted,
                        double now) {
   result_.faults.chunks_lost += 1;
   result_.faults.wasted_work += wasted;
   if (backup) result_.speculation.backups_lost += 1;
-  flight_.record(obs::FlightEventKind::kChunkLost, now, static_cast<std::uint32_t>(w),
-                 range.first, range.count);
-  if (trace_) result_.events.push_back({LifecycleEvent::Kind::kChunkLost, now, w, range.count});
+  emit(obs::FlightEventKind::kChunkLost, now, w, range);
 }
 
 GrayPolicy::GrayPolicy(const SimConfig& config, const std::vector<Worker>& workers,
                        std::uint64_t seed, double input_factor, double overhead,
-                       RunResult& result, obs::FlightRecorder& flight)
+                       RunResult& result, EventWriter& events)
     : armed(config.quarantine.armed()),
       active(armed || has_silent_corrupt(config)),
       health(config.quarantine, workers.size()),
@@ -401,9 +434,8 @@ GrayPolicy::GrayPolicy(const SimConfig& config, const std::vector<Worker>& worke
       audit_rate_(config.quarantine.audit_rate),
       input_factor_(input_factor),
       overhead_(overhead),
-      trace_(config.collect_trace),
       result_(result),
-      flight_(flight),
+      events_(events),
       corrupt_failure_(workers.size(), nullptr),
       weight0_(workers.size(), 1.0) {
   const util::SeedSequence seeds(seed);
@@ -429,12 +461,7 @@ bool GrayPolicy::draw_wrong(std::size_t w, double end_time) {
 
 void GrayPolicy::quarantine(std::size_t w, double now, bool audit_trip) {
   health.quarantine(w, now, audit_trip);
-  const std::int64_t cause = audit_trip ? 1 : 0;
-  flight_.record(obs::FlightEventKind::kWorkerQuarantined, now, static_cast<std::uint32_t>(w),
-                 cause);
-  if (trace_) {
-    result_.events.push_back({LifecycleEvent::Kind::kWorkerQuarantined, now, w, cause});
-  }
+  events_.emit(obs::FlightEventKind::kWorkerQuarantined, now, w, audit_trip ? 1 : 0);
 }
 
 bool GrayPolicy::on_accept(std::size_t w, IterationPool::Range range, bool probe,
@@ -450,8 +477,7 @@ bool GrayPolicy::on_accept(std::size_t w, IterationPool::Range range, bool probe
   if (probe) {
     if (health.observe_probe(w, slowdown)) {
       health.reinstate(w, now);
-      flight_.record(obs::FlightEventKind::kWorkerRestored, now, static_cast<std::uint32_t>(w));
-      if (trace_) result_.events.push_back({LifecycleEvent::Kind::kWorkerRestored, now, w, 0});
+      events_.emit(obs::FlightEventKind::kWorkerRestored, now, w);
     }
     return false;
   }
@@ -476,11 +502,8 @@ std::optional<GrayPolicy::AuditJob> GrayPolicy::take_audit(std::size_t w) {
 bool GrayPolicy::launch_audit(std::size_t v, const AuditJob& job, double dispatch_time,
                               double start_time, double end_time, bool lost) {
   health.stats.audits_launched += 1;
-  flight_.record(obs::FlightEventKind::kAuditLaunched, dispatch_time,
-                 static_cast<std::uint32_t>(v), job.range.first, job.range.count);
-  if (trace_) {
-    result_.events.push_back(
-        {LifecycleEvent::Kind::kAuditLaunched, dispatch_time, v, job.range.count});
+  events_.emit(obs::FlightEventKind::kAuditLaunched, dispatch_time, v, job.range);
+  if (events_.tracing()) {
     result_.trace.push_back({v, job.range.count, dispatch_time, start_time, end_time, lost,
                              job.range.first, false, false, false, true, false});
   }
@@ -507,22 +530,13 @@ void GrayPolicy::audit_verdict(std::size_t v, const AuditJob& job, double start_
     return;
   }
   health.stats.audit_mismatches += 1;
-  flight_.record(obs::FlightEventKind::kAuditMismatch, now,
-                 static_cast<std::uint32_t>(job.origin), job.range.first, job.range.count);
-  if (trace_) {
-    result_.events.push_back(
-        {LifecycleEvent::Kind::kAuditMismatch, now, job.origin, job.range.count});
-  }
+  events_.emit(obs::FlightEventKind::kAuditMismatch, now, job.origin, job.range);
   if (health.observe_mismatch(job.origin)) quarantine(job.origin, now, /*audit_trip=*/true);
 }
 
 void GrayPolicy::canary_launched(std::size_t w, IterationPool::Range range, double now) {
   health.stats.probes_launched += 1;
-  flight_.record(obs::FlightEventKind::kCanaryProbe, now, static_cast<std::uint32_t>(w),
-                 range.first, range.count);
-  if (trace_) {
-    result_.events.push_back({LifecycleEvent::Kind::kQuarantineProbe, now, w, range.count});
-  }
+  events_.emit(obs::FlightEventKind::kCanaryProbe, now, w, range);
 }
 
 void GrayPolicy::abandon_audits() {
@@ -539,9 +553,10 @@ void GrayPolicy::finish(double end) {
   result_.quarantine = health.stats;
 }
 
-double run_prologue(RunResult& result, const workload::Application& application,
-                    const SimConfig& config, double input_factor, double mean_iter,
-                    double stddev_iter, std::vector<Worker>& workers, util::RngStream& run_rng,
+double run_prologue(RunResult& result, EventWriter& events,
+                    const workload::Application& application, const SimConfig& config,
+                    double input_factor, double mean_iter, double stddev_iter,
+                    std::vector<Worker>& workers, util::RngStream& run_rng,
                     const char* serial_crash_error) {
   result.workers.assign(workers.size(), WorkerStats{});
   for (const SimConfig::Failure& failure : config.failures) {
@@ -561,14 +576,15 @@ double run_prologue(RunResult& result, const workload::Application& application,
   }
   result.serial_end = serial_end;
   result.makespan = serial_end;
-  if (config.collect_trace) {
+  // Every crash and recovery is listed here, up front, for both executors;
+  // the flight ring records each where its executor observes it. The zero-
+  // cost differential in test_master_worker documents the difference.
+  if (events.tracing()) {
     for (std::size_t w = 0; w < workers.size(); ++w) {
       if (!workers[w].crashes()) continue;
-      result.events.push_back(
-          {LifecycleEvent::Kind::kWorkerCrash, workers[w].crash_time, w, 0});
+      events.list(obs::FlightEventKind::kWorkerCrashed, workers[w].crash_time, w);
       if (std::isfinite(workers[w].recovery_time)) {
-        result.events.push_back(
-            {LifecycleEvent::Kind::kWorkerRecover, workers[w].recovery_time, w, 0});
+        events.list(obs::FlightEventKind::kWorkerRecovered, workers[w].recovery_time, w);
       }
     }
   }
@@ -594,12 +610,12 @@ double straggler_threshold(const SimConfig::Speculation& speculation, double qua
                   mu_it * n + quantile * input_factor * stddev_iter * std::sqrt(n));
 }
 
-void finish_run(RunResult& result, const SimConfig& config, const obs::FlightRecorder& flight,
+void finish_run(RunResult& result, const SimConfig& config, const EventWriter& events,
                 GrayPolicy& gray, double now, std::int64_t stranded, const char* executor,
                 const char* strand_reason) {
   if (stranded > 0) {
     const std::string detail = std::to_string(stranded) + strand_reason;
-    obs::FlightSink::global().maybe_dump(flight.finish(),
+    obs::FlightSink::global().maybe_dump(events.flight().finish(),
                                          obs::FlightAnomaly{"strand", detail, now});
     throw std::runtime_error(std::string(executor) + ": " + detail);
   }
@@ -638,9 +654,9 @@ void finish_run(RunResult& result, const SimConfig& config, const obs::FlightRec
   // sink). Clean runs under an unarmed sink take the summary-only path,
   // which skips the merge sort entirely (the recorder's overhead budget).
   if (!anomaly.kind.empty() || obs::FlightSink::global().armed()) {
-    result.flight = flight.finish();
+    result.flight = events.flight().finish();
   } else {
-    result.flight = flight.finish_summary();
+    result.flight = events.flight().finish_summary();
   }
   if (!anomaly.kind.empty()) {
     obs::FlightSink::global().maybe_dump(result.flight, anomaly);

@@ -293,13 +293,41 @@ class HealthTracker {
   std::vector<State> state_;
 };
 
-/// The chunk outcomes both executors record identically. Each call
-/// updates the RunResult counters, the flight recorder, and (with
-/// collect_trace) the lifecycle events and chunk trace together.
-class ChunkEvents {
+/// The one writer of a run's events. Every Stage II happening of both
+/// executors goes through emit(): it records the flight event and, with
+/// collect_trace, lists a lifecycle kind in RunResult::events, derived by
+/// a per-kind rule (a master-track event lists worker 0; `value` is the
+/// kind's count, sequence, ordinal or cause, or 0). The chunk outcomes both
+/// executors account identically also update the RunResult counters and
+/// the chunk trace here.
+class EventWriter {
  public:
-  ChunkEvents(const SimConfig& config, RunResult& result, obs::FlightRecorder& flight)
-      : trace_(config.collect_trace), result_(result), flight_(flight) {}
+  EventWriter(const SimConfig& config, std::size_t workers, RunResult& result);
+
+  /// Records one happening on worker w's track (or obs::kFlightMasterTrack).
+  /// With the trace off this is the ring write plus one predictable branch.
+  void emit(obs::FlightEventKind kind, double time, std::size_t w, std::int64_t a = 0,
+            std::int64_t b = 0) {
+    record(kind, time, w, a, b);
+    if (trace_) list(kind, time, w, a, b);
+  }
+  void emit(obs::FlightEventKind kind, double time, std::size_t w, IterationPool::Range range) {
+    emit(kind, time, w, range.first, range.count);
+  }
+
+  /// The flight ring alone; only for the two happenings whose sinks
+  /// disagree on purpose (see the callers).
+  void record(obs::FlightEventKind kind, double time, std::size_t w, std::int64_t a = 0,
+              std::int64_t b = 0) {
+    flight_.record(kind, time, static_cast<std::uint32_t>(w), a, b);
+  }
+
+  /// RunResult::events alone (lifecycle kinds under collect_trace).
+  void list(obs::FlightEventKind kind, double time, std::size_t w, std::int64_t a = 0,
+            std::int64_t b = 0);
+
+  [[nodiscard]] bool tracing() const noexcept { return trace_; }
+  [[nodiscard]] const obs::FlightRecorder& flight() const noexcept { return flight_; }
 
   /// Worker w's chunk exceeded its straggler threshold.
   void straggler(std::size_t w, IterationPool::Range range, double now);
@@ -315,7 +343,7 @@ class ChunkEvents {
  private:
   bool trace_;
   RunResult& result_;
-  obs::FlightRecorder& flight_;
+  obs::FlightRecorder flight_;
 };
 
 /// Gray-failure policy shared by both executors: the audit and
@@ -346,8 +374,7 @@ class GrayPolicy {
   /// scheduling_overhead in the idealized executor, the message latency in
   /// the MPI one.
   GrayPolicy(const SimConfig& config, const std::vector<Worker>& workers, std::uint64_t seed,
-             double input_factor, double overhead, RunResult& result,
-             obs::FlightRecorder& flight);
+             double input_factor, double overhead, RunResult& result, EventWriter& events);
 
   /// Quarantine and audit decisions run (SimConfig::Quarantine::armed).
   const bool armed;
@@ -402,9 +429,8 @@ class GrayPolicy {
   double audit_rate_;
   double input_factor_;
   double overhead_;
-  bool trace_;
   RunResult& result_;
-  obs::FlightRecorder& flight_;
+  EventWriter& events_;
   std::optional<util::RngStream> audit_rng_;
   std::optional<util::RngStream> corrupt_rng_;
   std::vector<const SimConfig::Failure*> corrupt_failure_;
@@ -415,9 +441,10 @@ class GrayPolicy {
 /// Shared run prologue: sizes the per-worker stats, counts the crash-kind
 /// failures into RunResult::faults, runs the serial iterations on worker 0
 /// (throwing std::runtime_error(serial_crash_error) when it crashes during
-/// them), and with collect_trace records every crash and recovery as a
+/// them), and with collect_trace lists every crash and recovery as a
 /// lifecycle event. Returns the end of the serial phase.
-[[nodiscard]] double run_prologue(RunResult& result, const workload::Application& application,
+[[nodiscard]] double run_prologue(RunResult& result, EventWriter& events,
+                                  const workload::Application& application,
                                   const SimConfig& config, double input_factor,
                                   double mean_iter, double stddev_iter,
                                   std::vector<Worker>& workers, util::RngStream& run_rng,
@@ -475,7 +502,7 @@ struct PreparedRun {
 /// obs::MetricsRegistry is enabled, records the run's aggregate counters
 /// and makespan histogram (one registry touch per run — nothing on the
 /// per-chunk path).
-void finish_run(RunResult& result, const SimConfig& config, const obs::FlightRecorder& flight,
+void finish_run(RunResult& result, const SimConfig& config, const EventWriter& events,
                 GrayPolicy& gray, double now, std::int64_t stranded, const char* executor,
                 const char* strand_reason);
 

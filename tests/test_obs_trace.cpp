@@ -29,8 +29,8 @@ sim::RunResult tiny_run() {
       {1, 4, 2.0, 2.5, std::numeric_limits<double>::infinity(), true},
   };
   run.events = {
-      {sim::LifecycleEvent::Kind::kWorkerCrash, 5.0, 1, 0},
-      {sim::LifecycleEvent::Kind::kChunkLost, 5.0, 1, 4},
+      {obs::FlightEventKind::kWorkerCrashed, 5.0, 1, 0},
+      {obs::FlightEventKind::kChunkLost, 5.0, 1, 4},
   };
   return run;
 }
@@ -70,6 +70,74 @@ TEST(ObsTrace, GoldenTraceForTinyRun) {
   ASSERT_EQ(sink.event_count(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(events.at(i).dump(), expected[i]) << "event " << i;
+  }
+}
+
+TEST(ObsTrace, EveryKindKeepsItsFlightRecordAndPerfettoName) {
+  // Keyed by enumerator, so a name table that drifts out of enum order
+  // fails here. Flight-only kinds have no Perfetto name.
+  struct Names {
+    FlightEventKind kind;
+    const char* flight;
+    const char* perfetto;
+  };
+  using K = FlightEventKind;
+  const std::vector<Names> names = {
+      {K::kWorkerCrashed, "worker_crashed", "worker_crash"},
+      {K::kWorkerRecovered, "worker_recovered", "worker_recover"},
+      {K::kWorkerSuspected, "worker_suspected", "worker_suspected"},
+      {K::kWorkerDeclaredDead, "worker_declared_dead", "worker_declared_dead"},
+      {K::kWorkerReinstated, "worker_reinstated", "worker_reinstated"},
+      {K::kChunkLost, "chunk_lost", "chunk_reclaimed"},
+      {K::kStragglerFlagged, "straggler_flagged", "chunk_straggler"},
+      {K::kBackupLaunched, "backup_launched", "chunk_backup"},
+      {K::kChunkCancelled, "chunk_cancelled", "chunk_cancelled"},
+      {K::kRiskEscalated, "risk_escalated", "risk_escalated"},
+      {K::kRetransmit, "retransmit", "assignment_retransmit"},
+      {K::kDedupHit, "dedup_hit", "dedup_hit"},
+      {K::kMasterCrashed, "master_crashed", "master_crash"},
+      {K::kMasterRestarted, "master_restarted", "master_restart"},
+      {K::kCheckpoint, "checkpoint", "checkpoint"},
+      {K::kWorkerQuarantined, "worker_quarantined", "worker_quarantined"},
+      {K::kCanaryProbe, "canary_probe", "quarantine_probe"},
+      {K::kWorkerRestored, "worker_restored", "worker_restored"},
+      {K::kAuditLaunched, "audit_launched", "audit_launched"},
+      {K::kAuditMismatch, "audit_mismatch", "audit_mismatch"},
+      {K::kMessageCorrupted, "message_corrupted", "message_corrupted"},
+      {K::kChunkDispatched, "chunk_dispatched", nullptr},
+      {K::kChunkAccepted, "chunk_accepted", nullptr},
+      {K::kBackupWon, "backup_won", nullptr},
+      {K::kRemapTriggered, "remap_triggered", nullptr},
+      {K::kWalAppend, "wal_append", nullptr},
+      {K::kAdmissionRejected, "admission_rejected", nullptr},
+      {K::kJobShed, "job_shed", nullptr},
+      {K::kOverloadTierChanged, "overload_tier_changed", nullptr},
+      {K::kRequestAdmitted, "request_admitted", nullptr},
+      {K::kSolveHedged, "solve_hedged", nullptr},
+      {K::kSolveTimeout, "solve_timeout", nullptr},
+      {K::kDrainComplete, "drain_complete", nullptr},
+  };
+  ASSERT_EQ(names.size(), kFlightEventKinds);
+  sim::RunResult run;
+  run.workers.resize(1);
+  for (const Names& n : names) {
+    EXPECT_STREQ(flight_event_name(n.kind), n.flight);
+    EXPECT_EQ(is_lifecycle_kind(n.kind), n.perfetto != nullptr) << n.flight;
+    if (n.perfetto != nullptr) run.events.push_back({n.kind, 1.0, 0, 0});
+  }
+  TraceSink sink;
+  sink.append_run(run, TraceSink::RunOptions{});
+  const Json doc = sink.to_json();
+  std::vector<std::string> rendered;
+  for (const Json& event : doc.at("traceEvents").items()) {
+    const Json* category = event.find("cat");
+    if (category != nullptr && category->as_string() == "lifecycle") {
+      rendered.push_back(event.at("name").as_string());
+    }
+  }
+  ASSERT_EQ(rendered.size(), kLifecycleKinds);
+  for (std::size_t i = 0; i < rendered.size(); ++i) {
+    EXPECT_EQ(rendered[i], names[i].perfetto);
   }
 }
 

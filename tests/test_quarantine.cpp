@@ -61,9 +61,9 @@ std::vector<std::vector<std::pair<double, double>>> quarantine_windows(
   std::vector<double> open(run.workers.size(), -1.0);
   for (const sim::LifecycleEvent& event : run.events) {
     if (event.worker >= run.workers.size()) continue;
-    if (event.kind == sim::LifecycleEvent::Kind::kWorkerQuarantined) {
+    if (event.kind == obs::FlightEventKind::kWorkerQuarantined) {
       open[event.worker] = event.time;
-    } else if (event.kind == sim::LifecycleEvent::Kind::kWorkerRestored &&
+    } else if (event.kind == obs::FlightEventKind::kWorkerRestored &&
                open[event.worker] >= 0.0) {
       windows[event.worker].emplace_back(open[event.worker], event.time);
       open[event.worker] = -1.0;
@@ -99,7 +99,7 @@ TEST(Quarantine, FailSlowWorkerIsQuarantinedAndDrained) {
   // The quarantine event lands on the degraded worker, value 0 = fail-slow.
   bool quarantined_degraded = false;
   for (const sim::LifecycleEvent& event : run.events) {
-    if (event.kind == sim::LifecycleEvent::Kind::kWorkerQuarantined && event.worker == 2) {
+    if (event.kind == obs::FlightEventKind::kWorkerQuarantined && event.worker == 2) {
       quarantined_degraded = true;
       EXPECT_EQ(event.value, 0);
     }
@@ -188,7 +188,7 @@ TEST(Quarantine, AuditCatchesSilentlyCorruptWorker) {
   // The audit-triggered quarantine event names the corrupt origin, value 1.
   bool audit_quarantine = false;
   for (const sim::LifecycleEvent& event : run.events) {
-    if (event.kind == sim::LifecycleEvent::Kind::kWorkerQuarantined && event.worker == 1) {
+    if (event.kind == obs::FlightEventKind::kWorkerQuarantined && event.worker == 1) {
       audit_quarantine = true;
       EXPECT_EQ(event.value, 1);
     }
@@ -234,9 +234,9 @@ TEST(Quarantine, DisarmedConfigKeepsEveryGrayCounterZero) {
     EXPECT_FALSE(run.quarantine.active()) << (mpi ? "mpi" : "ideal");
     EXPECT_EQ(run.quarantine.quarantined_time, 0.0);
     for (const sim::LifecycleEvent& event : run.events) {
-      EXPECT_NE(event.kind, sim::LifecycleEvent::Kind::kWorkerQuarantined);
-      EXPECT_NE(event.kind, sim::LifecycleEvent::Kind::kQuarantineProbe);
-      EXPECT_NE(event.kind, sim::LifecycleEvent::Kind::kAuditLaunched);
+      EXPECT_NE(event.kind, obs::FlightEventKind::kWorkerQuarantined);
+      EXPECT_NE(event.kind, obs::FlightEventKind::kCanaryProbe);
+      EXPECT_NE(event.kind, obs::FlightEventKind::kAuditLaunched);
     }
     for (const sim::ChunkTraceEntry& chunk : run.trace) {
       EXPECT_FALSE(chunk.audit);
@@ -289,7 +289,7 @@ TEST(Integrity, CorruptedMessagesAreDiscardedAndRecovered) {
   EXPECT_EQ(run.channel.corrupted, run.channel.corrupt_discarded);
   std::uint64_t corrupt_events = 0;
   for (const sim::LifecycleEvent& event : run.events) {
-    if (event.kind == sim::LifecycleEvent::Kind::kMessageCorrupted) ++corrupt_events;
+    if (event.kind == obs::FlightEventKind::kMessageCorrupted) ++corrupt_events;
   }
   EXPECT_EQ(corrupt_events, run.channel.corrupted);
 }

@@ -200,7 +200,7 @@ TEST(Speculation, DeadlineRiskMonitorEscalatesUnderAnImpossibleDeadline) {
   bool saw_escalation_event = false;
   for (const sim::LifecycleEvent& event : run.events) {
     saw_escalation_event =
-        saw_escalation_event || event.kind == sim::LifecycleEvent::Kind::kRiskEscalated;
+        saw_escalation_event || event.kind == obs::FlightEventKind::kRiskEscalated;
   }
   EXPECT_TRUE(saw_escalation_event);
   expect_exactly_once(run, kIterations);
@@ -307,7 +307,7 @@ TEST(Speculation, MpiStaleProbesAndFalseSuspicionsKeepExactlyOnce) {
   bool reinstated = false;
   for (const sim::LifecycleEvent& event : result.run.events) {
     reinstated =
-        reinstated || event.kind == sim::LifecycleEvent::Kind::kWorkerReinstated;
+        reinstated || event.kind == obs::FlightEventKind::kWorkerReinstated;
   }
   EXPECT_TRUE(reinstated);
 
