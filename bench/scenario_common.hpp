@@ -1,7 +1,7 @@
-// Shared plumbing for the per-figure scenario benches: run one scenario of
-// the paper's Section IV study and print its per-case, per-application,
-// per-technique execution times the way the corresponding figure reports
-// them.
+// Shared plumbing for the scenario benches (Figures 3-6, Table VI): run one
+// scenario of the paper's Section IV study and print its per-case,
+// per-application, per-technique execution times the way the corresponding
+// figure reports them.
 #pragma once
 
 #include <cstdio>
@@ -33,24 +33,32 @@ struct ScenarioBenchOptions {
   std::string json_path;
 };
 
-inline ScenarioBenchOptions parse_scenario_options(int argc, char** argv,
-                                                   const std::string& description,
-                                                   bool* show_help) {
-  util::Cli cli(description);
+/// Registers the flags every scenario bench takes.
+inline void add_scenario_options(util::Cli& cli) {
   cli.add_int("replications", 201, "simulation replications per (application, technique)");
   cli.add_int("seed", 42, "master random seed");
   cli.add_string("csv", "", "also write the series to this CSV file");
   cli.add_string("json", "", "also write a machine-readable JSON report to this file");
-  *show_help = !cli.parse(argc, argv);
+}
+
+/// Reads them back after a successful parse.
+inline ScenarioBenchOptions read_scenario_options(const util::Cli& cli) {
   ScenarioBenchOptions options;
-  if (!*show_help) {
-    options.replications = static_cast<std::size_t>(cli.get_int("replications"));
-    options.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-    options.csv_path = cli.get_string("csv");
-    options.json_path = cli.get_string("json");
-    if (!options.json_path.empty()) obs::MetricsRegistry::global().set_enabled(true);
-  }
+  options.replications = static_cast<std::size_t>(cli.get_int("replications"));
+  options.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  options.csv_path = cli.get_string("csv");
+  options.json_path = cli.get_string("json");
+  if (!options.json_path.empty()) obs::MetricsRegistry::global().set_enabled(true);
   return options;
+}
+
+inline ScenarioBenchOptions parse_scenario_options(int argc, char** argv,
+                                                   const std::string& description,
+                                                   bool* show_help) {
+  util::Cli cli(description);
+  add_scenario_options(cli);
+  *show_help = !cli.parse(argc, argv);
+  return *show_help ? ScenarioBenchOptions{} : read_scenario_options(cli);
 }
 
 /// Writes the scenario as a structured JSON report, stamped with the bench
