@@ -32,21 +32,6 @@ std::size_t line_of_first(std::string_view text, std::string_view needle) {
   return static_cast<std::size_t>(std::count(text.begin(), text.begin() + pos, '\n')) + 1;
 }
 
-bool valid_metric_name(std::string_view name) {
-  static constexpr std::array<std::string_view, 3> kPrefixes = {"sim.", "cdsf.", "obs."};
-  std::string_view rest;
-  for (const std::string_view prefix : kPrefixes) {
-    if (name.size() > prefix.size() && name.compare(0, prefix.size(), prefix) == 0) {
-      rest = name.substr(prefix.size());
-      break;
-    }
-  }
-  if (rest.empty()) return false;
-  return std::all_of(rest.begin(), rest.end(), [](char c) {
-    return (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '_' || c == '.';
-  });
-}
-
 bool parse_schema_tag(std::string_view tag, std::string& base, int& version) {
   const std::size_t slash = tag.rfind('/');
   if (slash == std::string_view::npos || slash + 1 >= tag.size()) return false;

@@ -4,6 +4,7 @@
 #include <array>
 #include <cctype>
 
+#include "lint/index.hpp"
 #include "lint/text.hpp"
 
 namespace cdsf::lint {
@@ -22,19 +23,18 @@ class RngSourceRule final : public Rule {
   void check(const SourceFile& file, std::vector<Diagnostic>& out) const override {
     if (ends_with(normalize_path(file.path()), "util/rng.hpp")) return;
     const std::string_view text = file.scrubbed();
-    // Call-form tokens: flag only when invoked, so a member or local named
-    // e.g. `rand_limit` never matches. Token lists live in lint/text.hpp,
-    // shared with the determinism-taint pass.
+    // Call-form tokens: flag only C calls, so a member call (`gen.rand()`),
+    // a declaration (`int rand() const;`) or a local named e.g. `rand_limit`
+    // never matches. Token lists and is_c_call_form live in lint/text.hpp,
+    // shared with the wall-clock rules and the determinism-taint pass.
     for (const std::string_view token : kRngCallTokens) {
       for (std::size_t pos = find_word(text, token); pos != std::string_view::npos;
            pos = find_word(text, token, pos + 1)) {
-        const std::size_t after = skip_ws(text, pos + token.size());
-        if (after < text.size() && text[after] == '(') {
-          out.push_back({file.path(), file.line_of(pos), std::string(id()),
-                         std::string(token) +
-                             "() is unseeded; draw from util::RngStream (util/rng.hpp) instead",
-                         false, {}});
-        }
+        if (!is_c_call_form(text, token, pos)) continue;
+        out.push_back({file.path(), file.line_of(pos), std::string(id()),
+                       std::string(token) +
+                           "() is unseeded; draw from util::RngStream (util/rng.hpp) instead",
+                       false, {}});
       }
     }
     // Type tokens: any mention is a violation — constructing a raw engine
@@ -329,81 +329,15 @@ class MetricNameRule final : public Rule {
     // Unit tests build throwaway local registries with deliberately tiny
     // names ("c", "h"); the convention governs production series only.
     if (has_segment(file.path(), "tests")) return;
-    const std::string_view text = file.scrubbed();
-    // Registry mutators whose first argument is the metric name. A
-    // non-literal first argument means either a different API (Batch::add,
-    // StreamingSummary::add) or a computed name the lexer cannot judge.
-    static constexpr std::array<std::string_view, 4> kMembers = {"add", "observe", "set_gauge",
-                                                                 "set_histogram_bounds"};
-    for (const std::string_view member : kMembers) {
-      for (std::size_t pos = find_word(text, member); pos != std::string_view::npos;
-           pos = find_word(text, member, pos + 1)) {
-        const std::size_t open = skip_ws(text, pos + member.size());
-        if (open >= text.size() || text[open] != '(') continue;
-        const std::size_t before = prev_non_ws(text, pos);
-        const bool member_call =
-            before != std::string_view::npos &&
-            (text[before] == '.' ||
-             (text[before] == '>' && before > 0 && text[before - 1] == '-'));
-        if (!member_call) continue;
-        check_name_at(file, skip_ws(text, open + 1), out);
-      }
+    // The registry cross-validation pass reads the same literals.
+    for (const MetricLiteral& metric : extract_metric_literals(file, 0)) {
+      if (valid_metric_name(metric.name)) continue;
+      out.push_back({file.path(), metric.line, std::string(id()),
+                     "metric name \"" + metric.name +
+                         "\" must match ^(sim|cdsf|obs)\\.[a-z0-9_.]+$ (subsystem prefix, "
+                         "lowercase dotted path)",
+                     false, {}});
     }
-    // ScopedTimer carries its metric name as the first string literal of
-    // the constructor argument list (the registry reference precedes it).
-    static constexpr std::string_view kTimer = "ScopedTimer";
-    for (std::size_t pos = find_word(text, kTimer); pos != std::string_view::npos;
-         pos = find_word(text, kTimer, pos + 1)) {
-      std::size_t open = skip_ws(text, pos + kTimer.size());
-      // A declaration (`ScopedTimer t(...)`) puts the variable name between
-      // the type and the argument list; skip it to reach the open paren.
-      if (open < text.size() && is_ident_char(text[open])) {
-        std::size_t name_end = open;
-        while (name_end < text.size() && is_ident_char(text[name_end])) ++name_end;
-        open = skip_ws(text, name_end);
-      }
-      if (open >= text.size() || text[open] != '(') continue;
-      const std::size_t close = match_bracket(text, open);
-      if (close == std::string_view::npos) continue;
-      const std::size_t quote = text.find('"', open);
-      if (quote < close) check_name_at(file, quote, out);
-    }
-  }
-
- private:
-  /// Validates the string literal starting at scrubbed offset `pos` (if
-  /// any): ^(sim|cdsf|obs)\.[a-z0-9_.]+$ .
-  void check_name_at(const SourceFile& file, std::size_t pos,
-                     std::vector<Diagnostic>& out) const {
-    const std::string_view text = file.scrubbed();
-    if (pos >= text.size() || text[pos] != '"') return;  // not a literal name
-    const std::size_t end = text.find('"', pos + 1);
-    if (end == std::string_view::npos) return;
-    // Literal contents are blanked in the scrubbed view; the raw view is
-    // offset-aligned, so the actual name lives there.
-    const std::string_view name =
-        std::string_view(file.raw()).substr(pos + 1, end - pos - 1);
-    if (valid_metric_name(name)) return;
-    out.push_back({file.path(), file.line_of(pos), std::string(id()),
-                   "metric name \"" + std::string(name) +
-                       "\" must match ^(sim|cdsf|obs)\\.[a-z0-9_.]+$ (subsystem prefix, "
-                       "lowercase dotted path)",
-                   false, {}});
-  }
-
-  static bool valid_metric_name(std::string_view name) {
-    static constexpr std::array<std::string_view, 3> kPrefixes = {"sim.", "cdsf.", "obs."};
-    std::string_view rest;
-    for (const std::string_view prefix : kPrefixes) {
-      if (name.size() > prefix.size() && name.compare(0, prefix.size(), prefix) == 0) {
-        rest = name.substr(prefix.size());
-        break;
-      }
-    }
-    if (rest.empty()) return false;
-    return std::all_of(rest.begin(), rest.end(), [](char c) {
-      return (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '_' || c == '.';
-    });
   }
 };
 

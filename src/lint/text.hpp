@@ -6,6 +6,7 @@
 // read literal bodies from the raw view at the same offsets.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cctype>
 #include <cstddef>
@@ -132,6 +133,22 @@ inline constexpr std::array<std::string_view, 9> kRngTypeTokens = {
     "random_device", "mt19937",  "mt19937_64", "minstd_rand", "minstd_rand0",
     "default_random_engine", "ranlux24", "ranlux48", "knuth_b"};
 
+/// True when `name` is a production metric name:
+/// ^(sim|cdsf|obs)\.[a-z0-9_.]+$ . Shared by the metric-name rule and the
+/// registry cross-validation pass.
+[[nodiscard]] inline bool valid_metric_name(std::string_view name) {
+  static constexpr std::array<std::string_view, 3> kPrefixes = {"sim.", "cdsf.", "obs."};
+  for (const std::string_view prefix : kPrefixes) {
+    if (name.size() > prefix.size() && name.compare(0, prefix.size(), prefix) == 0) {
+      const std::string_view rest = name.substr(prefix.size());
+      return std::all_of(rest.begin(), rest.end(), [](char c) {
+        return (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '_' || c == '.';
+      });
+    }
+  }
+  return false;
+}
+
 /// True when `pos` in scrubbed `text` is a C-call-form hit for `token`:
 /// followed by '(', not a member call (`obj.time(...)`), and not a
 /// declaration (`long time() const`) unless introduced by a statement
@@ -140,11 +157,9 @@ inline constexpr std::array<std::string_view, 9> kRngTypeTokens = {
                                          std::size_t pos) {
   const std::size_t after = skip_ws(text, pos + token.size());
   if (after >= text.size() || text[after] != '(') return false;
+  if (preceded_by_member_access(text, pos)) return false;
   const std::size_t before = prev_non_ws(text, pos);
   if (before == std::string_view::npos) return true;
-  if (text[before] == '.' || (text[before] == '>' && before > 0 && text[before - 1] == '-')) {
-    return false;
-  }
   if (is_ident_char(text[before])) {
     const std::size_t start = ident_start(text, before);
     const std::string_view prev_token = text.substr(start, before + 1 - start);

@@ -133,7 +133,9 @@ TEST(LintRules, RngSourceFlagsRawEnginesEverywhereButRngHpp) {
   const std::string text =
       "#include <random>\n"
       "int roll() { return rand() % 6; }\n"
-      "std::mt19937 engine{std::random_device{}()};\n";
+      "std::mt19937 engine{std::random_device{}()};\n"
+      "int draw = gen.rand() + gen->drand48();\n"  // member calls: someone's API
+      "struct Dice { int rand() const; long rand_r(unsigned* s); };\n";  // declarations
   const LintResult hit = lint_text("src/stats/x.cpp", text);
   EXPECT_EQ(rule_lines(hit.violations),
             (std::vector<std::pair<std::string, std::size_t>>{
