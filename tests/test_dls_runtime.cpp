@@ -84,7 +84,11 @@ TEST(Runtime, AdaptiveBalancesASkewedRealLoop) {
   if (std::thread::hardware_concurrency() < 4) {
     GTEST_SKIP() << "needs >= 4 hardware threads for meaningful chunk timings";
   }
-  constexpr std::int64_t kN = 1200;
+  // The loop must outlast thread start-up by far: on a loaded or virtualized
+  // host a woken thread can wait a millisecond or more for a CPU, and a loop
+  // of ~2 ms (kN = 1200) let the calling thread run all of AF's work alone
+  // (imbalance 4.0). At this size each run takes ~0.1-0.4 s.
+  constexpr std::int64_t kN = 15000;
   auto busy_work = [](std::int64_t i) {
     volatile double x = 0.0;
     const std::int64_t rounds = 20 + i;  // linearly increasing cost
