@@ -79,17 +79,14 @@ TEST(MpiModel, ZeroCostsReduceToIdealExecutor) {
   // are deliberately left out: straggler thresholds, crash detection (a
   // timeout in the MPI model, instantaneous in the idealized one), the
   // lost-chunk predicate and the flight crash events still differ by
-  // design between the two transports. So are audit TRIPS: an audit
-  // verdict can quarantine a worker that sits idle, and the idealized
-  // executor's idle-wake scan may still pick that worker for the next
-  // audit (which it then declines) where the MPI scan skips it — so the
-  // silent-corruption arm counts mismatches without letting them trip.
+  // design between the two transports.
   enum class Mode { kPlain, kAudits, kDegradeQuarantine, kSilentCorruptAudits };
   const core::PaperExample paper = core::make_paper_example();
   std::size_t compared = 0;
   std::uint64_t audits = 0;
   std::uint64_t mismatches = 0;
   std::uint64_t fail_slow_trips = 0;
+  std::uint64_t audit_trips = 0;
   for (dls::TechniqueId id : dls::all_techniques()) {
     for (int paper_case = 1; paper_case <= 4; ++paper_case) {
       const sysmodel::AvailabilitySpec spec = sysmodel::paper_case(paper_case);
@@ -127,7 +124,6 @@ TEST(MpiModel, ZeroCostsReduceToIdealExecutor) {
             case Mode::kSilentCorruptAudits:
               config.quarantine.enabled = true;
               config.quarantine.audit_rate = 0.2;
-              config.quarantine.audit_mismatch_limit = 1000;
               failure.kind = SimConfig::FailureKind::kSilentCorrupt;
               failure.corrupt_probability = 0.5;
               config.failures.push_back(failure);
@@ -143,6 +139,7 @@ TEST(MpiModel, ZeroCostsReduceToIdealExecutor) {
           audits += ideal.quarantine.audits_launched;
           mismatches += ideal.quarantine.audit_mismatches;
           fail_slow_trips += ideal.quarantine.fail_slow_trips;
+          audit_trips += ideal.quarantine.audit_trips;
         }
       }
     }
@@ -151,6 +148,7 @@ TEST(MpiModel, ZeroCostsReduceToIdealExecutor) {
   EXPECT_GT(audits, 0U);
   EXPECT_GT(mismatches, 0U);
   EXPECT_GT(fail_slow_trips, 0U);
+  EXPECT_GT(audit_trips, 0U);
 }
 
 TEST(MpiModel, LatencyDelaysEveryChunk) {
