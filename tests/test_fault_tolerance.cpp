@@ -3,7 +3,10 @@
 // Stage I re-mapping.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "cdsf/framework.hpp"
@@ -101,6 +104,90 @@ TEST(FaultTolerance, CrashRecoverWorkerRejoinsAndContributes) {
   // SS still has pending iterations at t = 300, so the rejoined worker
   // completes chunks after its outage.
   EXPECT_GT(run.workers[1].iterations, 0);
+}
+
+/// True when some worker's trace shows two copies at once: a copy occupies
+/// its worker from dispatch to its end (the crash instant for a lost one).
+bool worker_runs_two_copies(const sim::RunResult& run, const sim::SimConfig& config) {
+  for (std::size_t w = 0; w < run.workers.size(); ++w) {
+    double crash = std::numeric_limits<double>::infinity();
+    for (const sim::SimConfig::Failure& failure : config.failures) {
+      if (failure.worker == w && failure.kind != sim::SimConfig::FailureKind::kDegrade) {
+        crash = failure.time;
+      }
+    }
+    std::vector<std::pair<double, double>> busy;
+    for (const sim::ChunkTraceEntry& entry : run.trace) {
+      if (entry.worker == w) {
+        busy.emplace_back(entry.dispatch_time, entry.lost ? crash : entry.end_time);
+      }
+    }
+    std::sort(busy.begin(), busy.end());
+    for (std::size_t i = 1; i < busy.size(); ++i) {
+      if (busy[i].first < busy[i - 1].second) return true;
+    }
+  }
+  return false;
+}
+
+/// Deterministic unit iterations on full availability.
+sim::SimConfig exact_config() {
+  sim::SimConfig config;
+  config.iteration_cov = 0.0;
+  config.scheduling_overhead = 0.0;
+  config.availability_mode = sim::AvailabilityMode::kConstantMean;
+  config.collect_trace = true;
+  return config;
+}
+
+void add_failure(sim::SimConfig& config, std::size_t worker, double time,
+                 sim::SimConfig::FailureKind kind,
+                 double recovery = std::numeric_limits<double>::infinity()) {
+  sim::SimConfig::Failure failure;
+  failure.worker = worker;
+  failure.time = time;
+  failure.kind = kind;
+  failure.recovery_time = recovery;
+  config.failures.push_back(failure);
+}
+
+TEST(FaultTolerance, ChunkHandedOverAtTheCrashInstantIsLost) {
+  // SS on 4 workers: at t = 4 the last three iterations go to workers 0-2
+  // and worker 3 goes idle. Workers 2 and 3 crash together at t = 4.25.
+  // Worker 2's crash event runs first: it returns iteration 18 and wakes
+  // worker 3, whose own crash has not been processed yet. The chunk handed
+  // over at the crash instant dies with worker 3 (it was scheduled to
+  // complete at +infinity, which threw) and worker 2 redoes it after its
+  // recovery.
+  sim::SimConfig config = exact_config();
+  add_failure(config, 2, 4.25, sim::SimConfig::FailureKind::kCrashRecover, 5.0);
+  add_failure(config, 3, 4.25, sim::SimConfig::FailureKind::kCrash);
+  const sim::RunResult run =
+      sim::simulate_loop(test::simple_app("a", 0, 19, {19.0}, 0.0), 0, 4,
+                         test::full_availability(1), dls::TechniqueId::kSS, config, 1);
+  EXPECT_EQ(completed_iterations(run), 19);
+  EXPECT_EQ(run.faults.chunks_lost, 2U);
+  EXPECT_EQ(run.workers[3].iterations, 16 / 4);
+  EXPECT_FALSE(worker_runs_two_copies(run, config));
+}
+
+TEST(FaultTolerance, RecoveredWorkerNeverHostsTwoCopies) {
+  // TSS on 5 workers with speculation. Worker 1 crashes for good at t = 2;
+  // workers 2 and 4 crash together at t = 2.5 (worker 4 idle) and recover
+  // at 3.25 and 2.75. Worker 2's lost chunk was once handed to worker 4 at
+  // its crash instant and survived the outage; worker 4's recovery then
+  // marked it idle while it was still computing, and a straggler's backup
+  // landed on it on top of that chunk.
+  sim::SimConfig config = exact_config();
+  config.speculation.enabled = true;
+  add_failure(config, 2, 2.5, sim::SimConfig::FailureKind::kCrashRecover, 3.25);
+  add_failure(config, 1, 2.0, sim::SimConfig::FailureKind::kCrash);
+  add_failure(config, 4, 2.5, sim::SimConfig::FailureKind::kCrashRecover, 2.75);
+  const sim::RunResult run =
+      sim::simulate_loop(test::simple_app("a", 0, 13, {13.0}, 0.0), 0, 5,
+                         test::full_availability(1), dls::TechniqueId::kTSS, config, 7);
+  EXPECT_EQ(completed_iterations(run), 13);
+  EXPECT_FALSE(worker_runs_two_copies(run, config));
 }
 
 TEST(FaultTolerance, AllWorkersCrashingThrowsInsteadOfDeadlocking) {
