@@ -25,6 +25,14 @@
 // iteration statistics, overhead h, and each worker's availability observed
 // at time 0, which seeds WF/AWF weights) and then instantiates the policy.
 // Everything is deterministic given the seed.
+//
+// The chunk lifecycle (assignments, the free-worker decision, the accept
+// path, stragglers and their backups, the idle scans, the reclaim rule) is
+// detail::ChunkLedger in sim_common, shared with master_worker.hpp. This
+// executor is its ideal transport: a copy starts after h, completes at its
+// computed end, and is lost the instant its worker crashes, which is also
+// when a lost losing copy is recorded. The deadline-risk monitor runs here
+// only. docs/fault_tolerance.md tabulates the transport differences.
 #pragma once
 
 #include <algorithm>

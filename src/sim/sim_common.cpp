@@ -9,6 +9,7 @@
 #include "obs/metrics.hpp"
 #include "stats/summary.hpp"
 #include "util/cancel.hpp"
+#include "util/log.hpp"
 #include "util/parallel.hpp"
 
 namespace cdsf::sim::detail {
@@ -395,11 +396,6 @@ void EventWriter::list(obs::FlightEventKind kind, double time, std::size_t w, st
       {kind, time, w == obs::kFlightMasterTrack ? 0 : w, lifecycle_value(kind, a, b)});
 }
 
-void EventWriter::straggler(std::size_t w, IterationPool::Range range, double now) {
-  result_.speculation.stragglers_flagged += 1;
-  emit(obs::FlightEventKind::kStragglerFlagged, now, w, range);
-}
-
 void EventWriter::cancelled(std::size_t w, IterationPool::Range range, bool backup,
                             double sunk, std::ptrdiff_t trace_index, double now) {
   result_.speculation.cancelled_work += sunk;
@@ -591,23 +587,191 @@ double run_prologue(RunResult& result, EventWriter& events,
   return serial_end;
 }
 
-std::int64_t chunk_size(dls::Technique& technique, std::int64_t pending, std::size_t w,
-                        double now, bool probe, bool drain, const std::vector<char>& down) {
-  const std::int64_t chunk = technique.next_chunk(dls::SchedulingContext{pending, w, now});
-  if (chunk > 0) return chunk;
-  if (probe) return 1;
-  if (!drain) return 0;
-  const auto alive = static_cast<std::int64_t>(std::count(down.begin(), down.end(), 0));
-  return (pending + alive - 1) / alive;
+ChunkLedger::ChunkLedger(const SimConfig& config, std::int64_t iterations, std::size_t workers,
+                         double input_factor, dls::Technique& technique, RunResult& result,
+                         EventWriter& events, GrayPolicy& gray)
+    : pool(iterations),
+      assignment(workers),
+      idle(workers, 0),
+      down(workers, 0),
+      quantile(config.speculation.quantile),
+      speculation_(config.speculation),
+      trace_(config.collect_trace),
+      input_factor_(input_factor),
+      technique_(technique),
+      result_(result),
+      events_(events),
+      gray_(gray) {}
+
+ChunkLedger::Grant ChunkLedger::bench(std::size_t w, double now) {
+  idle[w] = 1;  // stay wakeable: a crash or reclaim may refill the pool
+  result_.workers[w].finish_time = std::max(result_.workers[w].finish_time, now);
+  return {Grant::Kind::kBench};
 }
 
-double straggler_threshold(const SimConfig::Speculation& speculation, double quantile,
-                           double estimate, double fallback, double input_factor,
-                           double stddev_iter, std::int64_t count) {
+ChunkLedger::Grant ChunkLedger::serve(std::size_t w, double now, bool probe, bool drain) {
+  idle[w] = 0;
+  WorkerStats& stats = result_.workers[w];
+  if (gray_.armed && !probe && gray_.health.quarantined(w)) {
+    // Drained: no pool work, no backups, no audits; canaries come from the
+    // probe timer. Not marked idle, so no scan wakes it.
+    stats.finish_time = std::max(stats.finish_time, now);
+    return {Grant::Kind::kBench};
+  }
+  // Busy on an audit replica (a duplicate message-passing service): the
+  // verdict brings the worker back.
+  if (gray_.armed && gray_.auditing[w] != 0) return {Grant::Kind::kBench};
+  const std::int64_t pending = pool.pending();
+  if (pending <= 0) {
+    if (probe) return {};  // nothing left to probe with; keep waiting
+    // Fresh work outranks speculation, and audits (pure validation) run
+    // last of all.
+    while (!stragglers_.empty()) {
+      const auto [p, id] = stragglers_.front();
+      stragglers_.pop_front();
+      const Assignment& primary = assignment[p];
+      if (!primary.active || primary.id != id || primary.has_partner) continue;  // stale
+      return {Grant::Kind::kBackup, primary.range, p};
+    }
+    if (gray_.armed) {
+      if (const auto job = gray_.take_audit(w)) {
+        return {Grant::Kind::kAudit, {}, kNone, *job};
+      }
+    }
+    return bench(w, now);
+  }
+  std::int64_t chunk = technique_.next_chunk(dls::SchedulingContext{pending, w, now});
+  if (chunk <= 0 && probe) chunk = 1;
+  if (chunk <= 0 && drain) {
+    // The technique's plan is spent (STATIC after a crash returned work).
+    const auto alive = static_cast<std::int64_t>(std::count(down.begin(), down.end(), 0));
+    chunk = (pending + alive - 1) / alive;
+  }
+  if (chunk <= 0) {
+    // The technique has nothing (ever) for this worker (STATIC share spent).
+    stats.finish_time = std::max(stats.finish_time, now);
+    return {};
+  }
+  const IterationPool::Range range = pool.take(chunk);
+  if (range.count <= 0) return probe ? Grant{} : bench(w, now);
+  if (probe) gray_.canary_launched(w, range, now);
+  return {Grant::Kind::kChunk, range};
+}
+
+Assignment& ChunkLedger::open(std::size_t w, IterationPool::Range range, double dispatch,
+                              double start, double end, bool lost, bool probe,
+                              std::size_t primary) {
+  Assignment& a = assignment[w];
+  const bool backup = primary != kNone;
+  const std::uint64_t id = a.id + 1;
+  a = Assignment{.active = true, .lost = lost, .backup = backup, .probe = probe};
+  a.id = id;
+  a.range = range;
+  a.dispatch_time = dispatch;
+  a.start_time = start;
+  a.end_time = end;
+  if (backup) {
+    Assignment& p = assignment[primary];
+    a.has_partner = p.has_partner = true;
+    a.partner = primary;
+    a.partner_id = p.id;
+    p.partner = w;
+    p.partner_id = id;
+    result_.speculation.backups_launched += 1;
+  }
+  if (trace_) {
+    a.trace_index = static_cast<std::ptrdiff_t>(result_.trace.size());
+    result_.trace.push_back(
+        {w, range.count, dispatch, start, end, lost, range.first, backup, false, false, false,
+         probe});
+  }
+  events_.emit(backup ? obs::FlightEventKind::kBackupLaunched
+                      : obs::FlightEventKind::kChunkDispatched,
+               dispatch, w, range);
+  CDSF_LOG_TRACE << "worker " << w << (backup ? " backup " : probe ? " canary " : " chunk ")
+                 << range.count << " [" << dispatch << ", " << end << "]"
+                 << (lost ? " LOST" : "");
+  return a;
+}
+
+double ChunkLedger::straggler_threshold(std::size_t w, std::int64_t count, double fallback,
+                                        double stddev_iter) const {
+  const double estimate = technique_.estimated_iteration_time(w);
   const double mu_it = estimate > 0.0 ? estimate : fallback;
   const double n = static_cast<double>(count);
-  return std::max(speculation.min_elapsed,
-                  mu_it * n + quantile * input_factor * stddev_iter * std::sqrt(n));
+  return std::max(speculation_.min_elapsed,
+                  mu_it * n + quantile * input_factor_ * stddev_iter * std::sqrt(n));
+}
+
+std::size_t ChunkLedger::take_idle(std::size_t except) {
+  for (std::size_t v = 0; v < idle.size(); ++v) {
+    if (v != except && wakeable(v)) {
+      idle[v] = 0;
+      return v;
+    }
+  }
+  return kNone;
+}
+
+std::size_t ChunkLedger::flag_straggler(std::size_t w, std::uint64_t id, double now) {
+  const Assignment& a = assignment[w];
+  if (!a.active || a.id != id || a.has_partner) return kNone;
+  // A degraded-but-alive worker blows through the threshold without ever
+  // tripping a crash detector.
+  result_.speculation.stragglers_flagged += 1;
+  events_.emit(obs::FlightEventKind::kStragglerFlagged, now, w, a.range);
+  const std::size_t host = take_idle(kNone);
+  if (host == kNone) stragglers_.emplace_back(w, id);
+  return host;
+}
+
+void ChunkLedger::accept(std::size_t w, double overhead, double now) {
+  Assignment& a = assignment[w];
+  a.active = false;
+  WorkerStats& stats = result_.workers[w];
+  stats.chunks += 1;
+  stats.iterations += a.range.count;
+  stats.busy_time += a.end_time - a.start_time;
+  stats.overhead_time += overhead;
+  stats.finish_time = a.end_time;
+  result_.total_chunks += 1;
+  result_.makespan = std::max(result_.makespan, a.end_time);
+  completed += a.range.count;
+  events_.emit(obs::FlightEventKind::kChunkAccepted, now, w, a.range);
+  if (a.backup) {
+    result_.speculation.backups_won += 1;
+    events_.emit(obs::FlightEventKind::kBackupWon, now, w, a.range);
+  }
+  technique_.record(dls::ChunkResult{w, a.range.count, a.end_time - a.start_time,
+                                     a.end_time - a.dispatch_time});
+}
+
+ChunkLedger::Settled ChunkLedger::settle(std::size_t w, double now, double mean_iter) {
+  const Assignment& a = assignment[w];
+  Settled settled;
+  // The originator cannot audit itself.
+  if (gray_.active &&
+      gray_.on_accept(w, a.range, a.probe, a.dispatch_time, a.end_time, now, mean_iter)) {
+    settled.auditor = take_idle(w);
+  }
+  if (partner_active(a)) settled.loser = a.partner;
+  return settled;
+}
+
+bool ChunkLedger::reclaim(std::size_t w) {
+  const Assignment& a = assignment[w];
+  // Exactly once: the partner copy still runs (or awaits its own reclaim),
+  // or it already won.
+  if (a.partner_won || partner_active(a)) return false;
+  result_.faults.iterations_reexecuted += a.range.count;
+  pool.give_back(a.range);
+  return true;
+}
+
+void ChunkLedger::forget() {
+  std::fill(down.begin(), down.end(), 0);
+  std::fill(idle.begin(), idle.end(), 0);
+  stragglers_.clear();
 }
 
 void finish_run(RunResult& result, const SimConfig& config, const EventWriter& events,

@@ -10,10 +10,12 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "dls/technique.hpp"
 #include "obs/flight.hpp"
+#include "sim/engine.hpp"
 #include "sim/loop_executor.hpp"
 #include "sysmodel/availability.hpp"
 #include "util/rng.hpp"
@@ -135,8 +137,6 @@ class IterationPool {
     for (const Range& r : returned_) p += r.count;
     return p;
   }
-
-  [[nodiscard]] bool empty() const noexcept { return next_ >= total_ && returned_.empty(); }
 
   /// Hands out up to `max_count` iterations as one contiguous range
   /// (count == 0 when the pool is empty or max_count <= 0).
@@ -263,13 +263,6 @@ class HealthTracker {
     return state_[worker].quarantined;
   }
 
-  [[nodiscard]] bool any_quarantined() const {
-    for (const State& s : state_) {
-      if (s.quarantined) return true;
-    }
-    return false;
-  }
-
   /// Closes still-open quarantine windows into quarantined_time.
   void finish(double now) {
     for (State& s : state_) {
@@ -328,9 +321,6 @@ class EventWriter {
 
   [[nodiscard]] bool tracing() const noexcept { return trace_; }
   [[nodiscard]] const obs::FlightRecorder& flight() const noexcept { return flight_; }
-
-  /// Worker w's chunk exceeded its straggler threshold.
-  void straggler(std::size_t w, IterationPool::Range range, double now);
 
   /// The losing copy on worker w was stopped after sinking `sunk` work;
   /// its trace entry, if any, ends at `now`.
@@ -438,6 +428,158 @@ class GrayPolicy {
   std::deque<AuditJob> audits_waiting_;
 };
 
+/// Worker w's assignment: the copy of a range it runs. A worker holds at
+/// most one; a straggler's primary and its backup copy link to each other
+/// by (worker, id). Ids count up per worker and survive the assignment.
+struct Assignment {
+  bool active = false;
+  /// Stranded by its worker's crash: it never completes, and its loss is
+  /// recorded when the executor observes the crash.
+  bool lost = false;
+  /// Message-passing hardened protocol: the assignment reached the worker.
+  /// An undelivered one is reclaimed with no compute wasted.
+  bool delivered = true;
+  bool backup = false;  // the speculative copy of a straggler
+  bool probe = false;   // a canary sent to a quarantined worker
+  bool has_partner = false;
+  /// Idealized executor: the partner copy won while this lost copy waits
+  /// for its worker's crash, so its loss returns nothing to the pool.
+  bool partner_won = false;
+  std::size_t partner = 0;
+  std::uint64_t partner_id = 0;
+  std::uint64_t id = 0;
+  std::size_t probes = 0;  // message-passing: timeout expirations so far
+  IterationPool::Range range{};
+  double dispatch_time = 0.0;
+  double start_time = 0.0;
+  double end_time = 0.0;
+  /// The pending completion (idealized) or report stage (message-passing),
+  /// cancelled when the partner copy wins.
+  Engine::EventId event = Engine::kNoEvent;
+  std::ptrdiff_t trace_index = -1;  // set only with collect_trace
+};
+
+/// The chunk lifecycle both executors share: the per-worker assignments,
+/// the pool, the free-worker decision, the accept path, straggler flagging
+/// and backup hosting, the idle-worker scans, and the rule that decides
+/// whether a lost copy's range returns to the pool. The ledger decides what
+/// happens next (what a serving worker gets, which idle worker wakes, which
+/// partner copy loses); the executor carries it out over its transport —
+/// how a copy is timed, delivered, cancelled, and detected as lost.
+class ChunkLedger {
+ public:
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+  ChunkLedger(const SimConfig& config, std::int64_t iterations, std::size_t workers,
+              double input_factor, dls::Technique& technique, RunResult& result,
+              EventWriter& events, GrayPolicy& gray);
+
+  IterationPool pool;
+  std::vector<Assignment> assignment;
+  /// Waiting for work; a scan may wake it.
+  std::vector<char> idle;
+  /// Gone for the scheduler: crashed (idealized) or declared dead
+  /// (message-passing). Maintained by the executor.
+  std::vector<char> down;
+  /// Accepted parallel iterations.
+  std::int64_t completed = 0;
+  /// Live straggler threshold in sigmas; the idealized executor's
+  /// deadline-risk monitor tightens it for chunks dispatched afterwards.
+  double quantile;
+
+  /// What a serving worker gets. kBench: nothing for now (the worker is
+  /// drained, busy on an audit, or idle until a scan wakes it); kNothing:
+  /// nothing and no reply.
+  struct Grant {
+    enum class Kind { kNothing, kBench, kChunk, kBackup, kAudit };
+    Kind kind = Kind::kNothing;
+    IterationPool::Range range{};  // kChunk, kBackup
+    std::size_t primary = kNone;   // kBackup: the straggler's worker
+    GrayPolicy::AuditJob audit{};  // kAudit
+  };
+
+  /// The free-worker decision for worker w at `now`: a drained worker gets
+  /// nothing; otherwise pool work, then a queued straggler's backup, then
+  /// an audit, else it goes idle (only a worker left waiting keeps its idle
+  /// mark). A canary `probe` takes one technique-sized range or nothing.
+  /// When the technique's plan is spent, `drain` splits the pending work in
+  /// equal shares over the workers not down, so every run completes.
+  [[nodiscard]] Grant serve(std::size_t w, double now, bool probe, bool drain);
+
+  /// Opens worker w's assignment of `range` (dispatched, computing from
+  /// `start` to `end`, or `lost` to a crash), traces it and records its
+  /// dispatch. With `primary` set it is the backup of that worker's
+  /// straggler, and the two copies are linked.
+  Assignment& open(std::size_t w, IterationPool::Range range, double dispatch, double start,
+                   double end, bool lost, bool probe, std::size_t primary = kNone);
+
+  /// Elapsed time past a chunk's start beyond which it is a straggler: the
+  /// expected compute time plus `quantile` sigmas, never below
+  /// min_elapsed. The per-iteration time is the technique's runtime
+  /// estimate when it has one (AWF/AF), else the a-priori `fallback`.
+  [[nodiscard]] double straggler_threshold(std::size_t w, std::int64_t count, double fallback,
+                                           double stddev_iter) const;
+
+  /// The straggler check of worker w's assignment `id`: unless it already
+  /// finished, was reclaimed or has a backup, flags it and returns the idle
+  /// worker that hosts its backup, or queues it for the next free worker.
+  [[nodiscard]] std::size_t flag_straggler(std::size_t w, std::uint64_t id, double now);
+
+  /// Accepts worker w's assignment at `now`: worker stats (charging
+  /// `overhead`), the technique's record() (exactly once per range), and
+  /// the accept / backup-won events.
+  void accept(std::size_t w, double overhead, double now);
+
+  /// After accept: the gray checks on the chunk, which may wake an idle
+  /// worker other than w for its audit, and the partner copy still
+  /// running, which lost the race.
+  struct Settled {
+    std::size_t auditor = kNone;
+    std::size_t loser = kNone;
+  };
+  [[nodiscard]] Settled settle(std::size_t w, double now, double mean_iter);
+
+  /// Worker w's assignment was lost or reclaimed (the executor has closed
+  /// it). Returns its range to the pool unless the partner copy still
+  /// covers it or already delivered it; returns true when it did.
+  bool reclaim(std::size_t w);
+
+  /// Wakes every idle worker that may be handed work, in index order.
+  template <class Wake>
+  void wake_idle(Wake&& wake) {
+    for (std::size_t v = 0; v < idle.size(); ++v) {
+      if (wakeable(v)) {
+        idle[v] = 0;
+        wake(v);
+      }
+    }
+  }
+
+  /// A master restart forgets the suspicions, the idle list and the
+  /// straggler queue.
+  void forget();
+
+ private:
+  [[nodiscard]] bool wakeable(std::size_t v) const {
+    return idle[v] && !down[v] && !(gray_.armed && gray_.health.quarantined(v));
+  }
+  [[nodiscard]] std::size_t take_idle(std::size_t except);
+  [[nodiscard]] bool partner_active(const Assignment& a) const {
+    return a.has_partner && assignment[a.partner].active &&
+           assignment[a.partner].id == a.partner_id;
+  }
+  Grant bench(std::size_t w, double now);
+
+  const SimConfig::Speculation& speculation_;
+  bool trace_;
+  double input_factor_;
+  dls::Technique& technique_;
+  RunResult& result_;
+  EventWriter& events_;
+  GrayPolicy& gray_;
+  std::deque<std::pair<std::size_t, std::uint64_t>> stragglers_;  // (worker, id) awaiting a host
+};
+
 /// Shared run prologue: sizes the per-worker stats, counts the crash-kind
 /// failures into RunResult::faults, runs the serial iterations on worker 0
 /// (throwing std::runtime_error(serial_crash_error) when it crashes during
@@ -449,26 +591,6 @@ class GrayPolicy {
                                   double mean_iter, double stddev_iter,
                                   std::vector<Worker>& workers, util::RngStream& run_rng,
                                   const char* serial_crash_error);
-
-/// Chunk size for worker w with `pending` undispatched iterations: the
-/// technique's answer. When the technique's plan is spent (STATIC after a
-/// crash returned iterations to the pool), a canary `probe` still takes a
-/// single iteration; otherwise, with `drain` set, the pending work is split
-/// in equal shares over the workers not marked `down`, so every run
-/// completes. Returns 0 when the worker gets nothing.
-[[nodiscard]] std::int64_t chunk_size(dls::Technique& technique, std::int64_t pending,
-                                      std::size_t w, double now, bool probe, bool drain,
-                                      const std::vector<char>& down);
-
-/// Wall-clock threshold past a chunk's start beyond which speculation
-/// flags it as a straggler: the expected compute time plus `quantile`
-/// sigmas, never below min_elapsed. The expected per-iteration time is the
-/// technique's runtime `estimate` when it has one (AWF/AF —
-/// availability-aware), else the a-priori `fallback`.
-[[nodiscard]] double straggler_threshold(const SimConfig::Speculation& speculation,
-                                         double quantile, double estimate, double fallback,
-                                         double input_factor, double stddev_iter,
-                                         std::int64_t count);
 
 /// Everything both executors need set up identically: validated inputs,
 /// per-run input factor, per-worker availability processes and noise
