@@ -110,6 +110,33 @@ TEST(Channel, DuplicatedReportsNeverDoubleCount) {
             result.run.channel.duplicates + result.run.channel.retransmits);
 }
 
+TEST(Channel, RejoinOfABenchedWorkerIsNotADedupHit) {
+  // AF on 3 workers with checkpointing (the hardened protocol on a clean
+  // channel): the loop drains at t = 2 and every worker is benched. Worker 2
+  // crashes at 4.25 and rejoins at 6.25; the master still has it benched
+  // and resends the bench notice. That rejoin request counted as a dedup
+  // hit with no duplicate or retransmission behind it, breaking the chaos
+  // harness's dedup_hits <= duplicates + retransmits identity.
+  const auto app = simple_app("a", 0, 6, {6.0}, 0.0);
+  SimConfig config = deterministic_config();
+  config.collect_trace = true;
+  config.checkpoint.enabled = true;
+  config.checkpoint.interval = 2.0;
+  SimConfig::Failure outage;
+  outage.worker = 2;
+  outage.time = 4.25;
+  outage.kind = SimConfig::FailureKind::kCrashRecover;
+  outage.recovery_time = 6.25;
+  config.failures.push_back(outage);
+  const MpiRunResult result = simulate_loop_mpi(app, 0, 3, full_availability(1),
+                                                dls::TechniqueId::kAF, config,
+                                                MessageModel{0.0, 0.0}, 7);
+  EXPECT_EQ(executed_iterations(result.run), 6);
+  EXPECT_EQ(result.run.channel.duplicates + result.run.channel.retransmits, 0u);
+  EXPECT_LE(result.run.channel.dedup_hits,
+            result.run.channel.duplicates + result.run.channel.retransmits);
+}
+
 TEST(Channel, DroppedAssignmentIsRetransmittedAndTerminates) {
   // The very first master->worker payload vanishes; the ack-driven
   // retransmission must re-deliver it and the run must complete with every
