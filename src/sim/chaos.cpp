@@ -540,68 +540,6 @@ void check_run(const RunResult& run, std::int64_t parallel, std::size_t schedule
   }
 }
 
-bool summaries_identical(const ReplicationSummary& a, const ReplicationSummary& b) {
-  const bool makespans = a.mean_makespan == b.mean_makespan &&
-                         a.median_makespan == b.median_makespan &&
-                         a.stddev_makespan == b.stddev_makespan &&
-                         a.min_makespan == b.min_makespan &&
-                         a.max_makespan == b.max_makespan &&
-                         a.deadline_hit_rate == b.deadline_hit_rate;
-  const bool faults = a.faults_total.workers_crashed == b.faults_total.workers_crashed &&
-                      a.faults_total.workers_recovered == b.faults_total.workers_recovered &&
-                      a.faults_total.chunks_lost == b.faults_total.chunks_lost &&
-                      a.faults_total.iterations_reexecuted ==
-                          b.faults_total.iterations_reexecuted &&
-                      a.faults_total.wasted_work == b.faults_total.wasted_work &&
-                      a.faults_total.false_suspicions == b.faults_total.false_suspicions;
-  const bool speculation =
-      a.speculation_total.stragglers_flagged == b.speculation_total.stragglers_flagged &&
-      a.speculation_total.backups_launched == b.speculation_total.backups_launched &&
-      a.speculation_total.backups_won == b.speculation_total.backups_won &&
-      a.speculation_total.backups_cancelled == b.speculation_total.backups_cancelled &&
-      a.speculation_total.backups_lost == b.speculation_total.backups_lost &&
-      a.speculation_total.primaries_cancelled == b.speculation_total.primaries_cancelled &&
-      a.speculation_total.cancelled_work == b.speculation_total.cancelled_work &&
-      a.speculation_total.risk_escalations == b.speculation_total.risk_escalations;
-  const bool channel =
-      a.channel_total.messages_sent == b.channel_total.messages_sent &&
-      a.channel_total.drops == b.channel_total.drops &&
-      a.channel_total.burst_drops == b.channel_total.burst_drops &&
-      a.channel_total.duplicates == b.channel_total.duplicates &&
-      a.channel_total.reorders == b.channel_total.reorders &&
-      a.channel_total.retransmits == b.channel_total.retransmits &&
-      a.channel_total.dedup_hits == b.channel_total.dedup_hits &&
-      a.channel_total.acks_sent == b.channel_total.acks_sent &&
-      a.channel_total.retransmits_abandoned == b.channel_total.retransmits_abandoned &&
-      a.channel_total.corrupted == b.channel_total.corrupted &&
-      a.channel_total.corrupt_discarded == b.channel_total.corrupt_discarded;
-  const bool checkpoint =
-      a.checkpoint_total.wal_records == b.checkpoint_total.wal_records &&
-      a.checkpoint_total.snapshots == b.checkpoint_total.snapshots &&
-      a.checkpoint_total.master_restarts == b.checkpoint_total.master_restarts &&
-      a.checkpoint_total.restart_ranges_redispatched ==
-          b.checkpoint_total.restart_ranges_redispatched &&
-      a.checkpoint_total.restart_chunks_preserved ==
-          b.checkpoint_total.restart_chunks_preserved &&
-      a.checkpoint_total.restart_completions_replayed ==
-          b.checkpoint_total.restart_completions_replayed;
-  const bool quarantine =
-      a.quarantine_total.fail_slow_trips == b.quarantine_total.fail_slow_trips &&
-      a.quarantine_total.audit_trips == b.quarantine_total.audit_trips &&
-      a.quarantine_total.quarantines == b.quarantine_total.quarantines &&
-      a.quarantine_total.reinstatements == b.quarantine_total.reinstatements &&
-      a.quarantine_total.probes_launched == b.quarantine_total.probes_launched &&
-      a.quarantine_total.probes_healthy == b.quarantine_total.probes_healthy &&
-      a.quarantine_total.quarantined_time == b.quarantine_total.quarantined_time &&
-      a.quarantine_total.audits_launched == b.quarantine_total.audits_launched &&
-      a.quarantine_total.audits_matched == b.quarantine_total.audits_matched &&
-      a.quarantine_total.audit_mismatches == b.quarantine_total.audit_mismatches &&
-      a.quarantine_total.audits_abandoned == b.quarantine_total.audits_abandoned &&
-      a.quarantine_total.corrupt_chunks_recorded ==
-          b.quarantine_total.corrupt_chunks_recorded;
-  return makespans && faults && speculation && channel && checkpoint && quarantine;
-}
-
 }  // namespace
 
 ChaosReport run_chaos_campaign(const ChaosConfig& config) {
@@ -736,7 +674,7 @@ ChaosReport run_chaos_campaign(const ChaosConfig& config) {
                     rep_config, messages, sim_seed, config.replications, schedule.deadline,
                     config.thread_counts[k]);
                 partial.runs += config.replications;
-                if (!summaries_identical(baseline, other)) {
+                if (baseline != other) {
                   add_violation(partial, index, sim_seed, "mpi_replicated",
                                 "thread_determinism",
                                 "summary differs between threads=" +
@@ -766,7 +704,7 @@ ChaosReport run_chaos_campaign(const ChaosConfig& config) {
                   schedule.sim, sim_seed, config.replications, schedule.deadline,
                   config.thread_counts[k]);
               partial.runs += config.replications;
-              if (!summaries_identical(baseline, other)) {
+              if (baseline != other) {
                 add_violation(partial, index, sim_seed, "replicated", "thread_determinism",
                               "summary differs between threads=" +
                                   std::to_string(config.thread_counts.front()) +

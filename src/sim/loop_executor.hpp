@@ -450,6 +450,8 @@ struct FaultStats {
   /// (a slow chunk probed before its report arrived).
   std::size_t false_suspicions = 0;
 
+  friend bool operator==(const FaultStats&, const FaultStats&) = default;
+
   /// Adds one run's counters (the detection-latency maximum takes the max).
   void accumulate(const FaultStats& other) noexcept {
     workers_crashed += other.workers_crashed;
@@ -484,6 +486,8 @@ struct SpeculationStats {
   double cancelled_work = 0.0;
   /// Deadline-risk monitor escalations.
   std::uint64_t risk_escalations = 0;
+
+  friend bool operator==(const SpeculationStats&, const SpeculationStats&) = default;
 
   /// Order-independent element-wise sum (aggregation across runs).
   void accumulate(const SpeculationStats& other) noexcept {
@@ -530,6 +534,8 @@ struct ChannelStats {
   /// assumed perfect, so no corrupted payload is ever processed (a
   /// corrupted report never reaches Technique::record).
   std::uint64_t corrupt_discarded = 0;
+
+  friend bool operator==(const ChannelStats&, const ChannelStats&) = default;
 
   /// Order-independent element-wise sum (aggregation across runs).
   void accumulate(const ChannelStats& other) noexcept {
@@ -586,6 +592,8 @@ struct QuarantineStats {
   /// audit_mismatches against this baseline.
   std::uint64_t corrupt_chunks_recorded = 0;
 
+  friend bool operator==(const QuarantineStats&, const QuarantineStats&) = default;
+
   /// Order-independent element-wise sum (aggregation across runs).
   void accumulate(const QuarantineStats& other) noexcept {
     fail_slow_trips += other.fail_slow_trips;
@@ -624,6 +632,8 @@ struct CheckpointStats {
   /// ...and WAL completions were replayed into the dedup table so a
   /// completed chunk is never record()ed twice.
   std::uint64_t restart_completions_replayed = 0;
+
+  friend bool operator==(const CheckpointStats&, const CheckpointStats&) = default;
 
   void accumulate(const CheckpointStats& other) noexcept {
     wal_records += other.wal_records;
@@ -743,6 +753,8 @@ struct ReplicationSummary {
   /// nonzero for the MPI replication path, simulate_replicated_mpi).
   ChannelStats channel_total;
   CheckpointStats checkpoint_total;
+
+  friend bool operator==(const ReplicationSummary&, const ReplicationSummary&) = default;
 };
 
 /// Mixed-type group execution: the paper restricts every group to ONE

@@ -58,6 +58,8 @@ struct ConfidenceInterval {
 
   [[nodiscard]] bool contains(double x) const noexcept { return x >= lower && x <= upper; }
   [[nodiscard]] double width() const noexcept { return upper - lower; }
+
+  friend bool operator==(const ConfidenceInterval&, const ConfidenceInterval&) = default;
 };
 
 /// Wilson score interval for a binomial proportion: `successes` out of

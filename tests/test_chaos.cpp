@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "obs/report.hpp"
 #include "pmf/pmf.hpp"
@@ -95,6 +96,22 @@ TEST(Chaos, CampaignIsDeterministicAcrossCampaignThreads) {
   EXPECT_EQ(a.speculation_total.backups_won, b.speculation_total.backups_won);
   EXPECT_DOUBLE_EQ(a.speculation_total.cancelled_work, b.speculation_total.cancelled_work);
   EXPECT_DOUBLE_EQ(a.max_makespan, b.max_makespan);
+}
+
+TEST(Chaos, ThreadDeterminismComparesEverySummaryField) {
+  // The thread-determinism invariant compares replicated summaries with
+  // their defaulted equality, so it sees every field, including the ones a
+  // hand-written field list once skipped.
+  const sim::ReplicationSummary base;
+  std::vector<sim::ReplicationSummary> changed(6, base);
+  changed[0].replications = 1;
+  changed[1].faults_total.detection_latency_total = 1.0;
+  changed[2].faults_total.max_detection_latency = 1.0;
+  changed[3].mean_ci.upper = 1.0;
+  changed[4].hit_rate_ci.lower = 0.5;
+  changed[5].checkpoint_total.restart_chunks_preserved = 1;
+  EXPECT_EQ(base, sim::ReplicationSummary{});
+  for (const sim::ReplicationSummary& other : changed) EXPECT_NE(base, other);
 }
 
 TEST(Chaos, DegenerateConfigsAreRejected) {
