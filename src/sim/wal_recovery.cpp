@@ -1,10 +1,12 @@
 #include "sim/wal_recovery.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/json.hpp"
 
@@ -196,6 +198,49 @@ RecoveredCheckpoint load_checkpoint_json(const std::string& path) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return recover_checkpoint_json(buffer.str());
+}
+
+void write_checkpoint_json(const std::string& path, const RunResult& run) {
+  obs::Json doc = obs::Json::object();
+  doc.set("schema", std::string(kSchema));
+  doc.set("makespan", run.makespan);
+  doc.set("wal_records", run.checkpoint.wal_records);
+  doc.set("snapshots", run.checkpoint.snapshots);
+  doc.set("master_restarts", run.checkpoint.master_restarts);
+  obs::Json wal = obs::Json::array();
+  for (const WalRecord& rec : run.wal) {
+    obs::Json r = obs::Json::object();
+    r.set("kind", wal_kind_name(rec.kind));
+    r.set("time", rec.time);
+    r.set("worker", rec.worker);
+    r.set("seq", rec.seq);
+    r.set("first", rec.first);
+    r.set("count", rec.count);
+    wal.push_back(std::move(r));
+  }
+  doc.set("wal", std::move(wal));
+  std::ofstream out(path);
+  if (out) {
+    out << doc.dump(2) << '\n';
+    out.flush();  // so a full disk fails here, not silently at close
+  }
+  if (!out) {
+    throw std::runtime_error("simulate_loop_mpi: cannot write checkpoint JSON to " + path);
+  }
+}
+
+WalScan scan_wal(const std::vector<WalRecord>& wal, std::size_t workers) {
+  WalScan scan{std::vector<WalMarks>(workers)};
+  for (const WalRecord& rec : wal) {
+    if (rec.kind == WalRecord::Kind::kSnapshot || rec.kind == WalRecord::Kind::kRestart) continue;
+    WalMarks& marks = scan.workers.at(rec.worker);
+    std::uint64_t& mark = rec.kind == WalRecord::Kind::kAssign ? marks.assigned
+                          : rec.kind == WalRecord::Kind::kAck  ? marks.acked
+                                                               : marks.completed;
+    mark = std::max(mark, rec.seq);
+    if (rec.kind == WalRecord::Kind::kComplete) scan.completions += 1;
+  }
+  return scan;
 }
 
 }  // namespace cdsf::sim

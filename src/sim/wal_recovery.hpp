@@ -1,7 +1,8 @@
-// Crash-consistent recovery of the master checkpoint JSON.
+// The master's log: the cdsf.master_checkpoint/1 document, written and
+// read here, and the write-ahead-log scan behind restart reconciliation.
 //
-// write_checkpoint_json (master_worker.cpp) serializes the master's final
-// durable state — snapshot counters plus the full write-ahead log — as a
+// write_checkpoint_json serializes the master's final durable state —
+// snapshot counters plus the full write-ahead log — as a
 // cdsf.master_checkpoint/1 document. A real crash can TEAR that write: the
 // process dies mid-flush and the file on disk is an arbitrary byte prefix
 // of the intended document. A recovery tool that chokes on its own torn
@@ -16,6 +17,7 @@
 // half-applied).
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -71,5 +73,31 @@ struct RecoveredCheckpoint {
 /// Reads `path` and delegates to recover_checkpoint_json. Throws
 /// std::runtime_error when the file cannot be read.
 [[nodiscard]] RecoveredCheckpoint load_checkpoint_json(const std::string& path);
+
+/// Writes `run`'s final checkpoint state (makespan, WAL and snapshot
+/// counters, the full WAL) to `path`. Throws std::runtime_error when the
+/// file cannot be written in full.
+void write_checkpoint_json(const std::string& path, const RunResult& run);
+
+/// A write-ahead log's highest assignment, ack and completion sequence
+/// numbers for one worker (0 when none).
+struct WalMarks {
+  std::uint64_t assigned = 0;
+  std::uint64_t acked = 0;
+  std::uint64_t completed = 0;
+
+  friend bool operator==(const WalMarks&, const WalMarks&) = default;
+};
+
+/// Restart reconciliation's scan of a log, whole or salvaged: the marks of
+/// each of `workers` workers and the number of completion records (each
+/// replayed into the report dedup table). Throws std::out_of_range for a
+/// record naming a worker >= `workers`.
+struct WalScan {
+  std::vector<WalMarks> workers;
+  std::uint64_t completions = 0;
+};
+
+[[nodiscard]] WalScan scan_wal(const std::vector<WalRecord>& wal, std::size_t workers);
 
 }  // namespace cdsf::sim

@@ -1,13 +1,16 @@
 // Crash-consistent checkpoint recovery: a complete cdsf.master_checkpoint/1
 // document round-trips exactly, and a torn one (truncated at ANY byte)
 // salvages a strict prefix of the WAL without ever throwing — the
-// torn-write contract a recovery path must honor to be worth having.
+// torn-write contract a recovery path must honor to be worth having — and
+// restart reconciliation's scan of a salvaged log sees exactly that prefix.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "sim/master_worker.hpp"
 #include "sim/wal_recovery.hpp"
@@ -112,6 +115,43 @@ TEST(WalRecovery, TruncationSweepNeverThrowsAndSalvagesAPrefix) {
   const RecoveredCheckpoint whole = recover_checkpoint_json(full);
   EXPECT_TRUE(whole.complete);
   EXPECT_EQ(whole.wal.size(), run.wal.size());
+}
+
+TEST(WalRecovery, RestartScanOfASalvagedPrefixNeverRunsAhead) {
+  const std::string path = "wal_recovery_scan.json";
+  const RunResult run = checkpointed_run(path);
+  const std::string full = read_file(path);
+  std::remove(path.c_str());
+
+  // A clean run leaves nothing in flight by its log: every worker's last
+  // assignment was acked and completed, and each chunk completed once.
+  const WalScan whole = scan_wal(run.wal, 3);
+  EXPECT_EQ(whole.completions, run.total_chunks);
+  for (std::size_t w = 0; w < 3; ++w) {
+    EXPECT_EQ(whole.workers[w].assigned, run.workers[w].chunks) << "worker " << w;
+    EXPECT_EQ(whole.workers[w].acked, whole.workers[w].assigned) << "worker " << w;
+    EXPECT_EQ(whole.workers[w].completed, whole.workers[w].assigned) << "worker " << w;
+  }
+  // A restart from a torn checkpoint reconciles against exactly the
+  // records that survived: its marks are those of the log's prefix and
+  // never run ahead of the whole log.
+  for (std::size_t cut = 0; cut <= full.size(); cut += 7) {
+    const RecoveredCheckpoint torn =
+        recover_checkpoint_json(std::string_view(full).substr(0, cut));
+    const WalScan salvaged = scan_wal(torn.wal, 3);
+    const std::vector<WalRecord> prefix(
+        run.wal.begin(), run.wal.begin() + static_cast<std::ptrdiff_t>(torn.wal.size()));
+    const WalScan expected = scan_wal(prefix, 3);
+    ASSERT_EQ(salvaged.completions, expected.completions) << "truncated at byte " << cut;
+    ASSERT_LE(salvaged.completions, whole.completions) << "truncated at byte " << cut;
+    for (std::size_t w = 0; w < 3; ++w) {
+      ASSERT_EQ(salvaged.workers[w], expected.workers[w]) << "truncated at byte " << cut;
+      ASSERT_LE(salvaged.workers[w].completed, whole.workers[w].completed)
+          << "truncated at byte " << cut;
+    }
+  }
+  // A record naming a worker the run does not have is rejected.
+  EXPECT_THROW((void)scan_wal(run.wal, 1), std::out_of_range);
 }
 
 TEST(WalRecovery, TornHeaderFieldIsNotTrustedMidNumber) {
