@@ -104,14 +104,9 @@ RunResult run_ideal_loop(const workload::Application& application, const SimConf
     return t;
   };
 
-  // What a copy has sunk into its worker by now: the elapsed dispatch
-  // overhead plus the work delivered since computation started.
+  // What worker v's losing or lost copy has sunk by now.
   auto sunk_work = [&](std::size_t v) {
-    const detail::Assignment& a = ledger.assignment[v];
-    const double now = engine.now();
-    double sunk = std::min(config.scheduling_overhead, std::max(0.0, now - a.dispatch_time));
-    if (a.start_time < now) sunk += workers[v].availability->work_delivered(a.start_time, now);
-    return sunk;
+    return ledger.sunk_work(v, config.scheduling_overhead, engine.now(), *workers[v].availability);
   };
 
   // Re-executes an accepted chunk on independent worker v and compares.

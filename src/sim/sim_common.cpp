@@ -758,6 +758,15 @@ ChunkLedger::Settled ChunkLedger::settle(std::size_t w, double now, double mean_
   return settled;
 }
 
+double ChunkLedger::sunk_work(std::size_t w, double overhead, double now,
+                              sysmodel::AvailabilityProcess& availability) const {
+  const Assignment& a = assignment[w];
+  double sunk = std::min(overhead, std::max(0.0, now - a.dispatch_time));
+  const double stop = std::min(now, a.end_time);
+  if (a.start_time < stop) sunk += availability.work_delivered(a.start_time, stop);
+  return sunk;
+}
+
 bool ChunkLedger::reclaim(std::size_t w) {
   const Assignment& a = assignment[w];
   // Exactly once: the partner copy still runs (or awaits its own reclaim),

@@ -100,6 +100,11 @@ struct Worker {
     return crash_time != std::numeric_limits<double>::infinity();
   }
 
+  /// Physically down at `t`: crashed and not yet recovered.
+  [[nodiscard]] bool down_at(double t) const noexcept {
+    return crash_time <= t && t < recovery_time;
+  }
+
   /// The worker's a-priori weight: its availability observed at t = 0,
   /// or the pre-crash value when it is already down at t = 0.
   [[nodiscard]] double weight_seed() const {
@@ -538,6 +543,12 @@ class ChunkLedger {
     std::size_t loser = kNone;
   };
   [[nodiscard]] Settled settle(std::size_t w, double now, double mean_iter);
+
+  /// What worker w's copy has sunk by `now`, charged when it loses the
+  /// race or dies: its elapsed dispatch cost (at most `overhead`) plus the
+  /// work `availability` delivered from its start until `now` or its end.
+  [[nodiscard]] double sunk_work(std::size_t w, double overhead, double now,
+                                 sysmodel::AvailabilityProcess& availability) const;
 
   /// Worker w's assignment was lost or reclaimed (the executor has closed
   /// it). Returns its range to the pool unless the partner copy still
