@@ -24,6 +24,29 @@
 // and the gray checks; a lost losing copy is recorded when the winner is
 // accepted; crashes are detected by timeouts and rejoin requests.
 //
+// The transport has four parts in master_worker.cpp:
+//   * detail::Channel is the wire: the fault draws and test hooks, the
+//     ChannelStats counters, and at-least-once transmission. A message
+//     names its kind (request, assignment, report, either ack, or bench
+//     notice); one switch of the executor says where each kind lands, and
+//     one says what answers each resent kind (requests, assignments and
+//     reports resend until answered or out of retries).
+//   * The master's log is the write-ahead log the executor appends to;
+//     sim/wal_recovery writes and reads its cdsf.master_checkpoint/1
+//     document and holds the scan (scan_wal) that restart reconciles with.
+//   * One record per worker (detail::Peer) holds the sequence numbers of
+//     both sides. Its worker half survives a master restart; its master
+//     half (ack and report dedup marks, timeout escalation, queued-service
+//     and canary marks) is rebuilt by the restart in one place.
+//   * detail::MpiExecutor is one run: its members are the protocol steps,
+//     and simulate_loop_mpi only builds and runs it.
+// Three rules keep a rejoining worker to one assignment and the channel
+// counters exact: a service queued for a worker clears its idle mark (no
+// scan may wake it for a second service), a reliable rejoin queues no
+// service while one is pending, and a hardened rejoin from a worker
+// benched before its crash gets the bench notice again without counting a
+// dedup hit (it is a fresh request, not a resend).
+//
 // With zero latency and service time this model reproduces every output
 // of simulate_loop with zero scheduling_overhead (the differential test
 // MpiModel.ZeroCostsReduceToIdealExecutor), except under speculation and
