@@ -100,28 +100,40 @@ StageTwoResult Framework::run_stage_two(const ra::Allocation& allocation,
     sim_config.flight.deadline = deadline_;
   }
 
+  // One grid per case: every (application, technique) arm's replications
+  // share one index space, so arms of unequal cost keep every thread busy.
+  // Arm seeds come from the arm's position, never from the thread count.
   const util::SeedSequence seeds(config.seed);
+  std::vector<sim::ReplicatedArm> arms;
+  arms.reserve(batch_.size() * techniques.size());
   for (std::size_t app = 0; app < batch_.size(); ++app) {
     const ra::GroupAssignment group = allocation.at(app);
+    for (std::size_t k = 0; k < techniques.size(); ++k) {
+      arms.push_back({&batch_.at(app), group.processor_type, group.processors, techniques[k],
+                      seeds.child(app * 64 + k)});
+    }
+  }
+  std::vector<sim::ReplicationSummary> summaries;
+  {
+    obs::PhaseTimer phase(obs::Phase::kMonteCarlo);
+    summaries = sim::simulate_replicated(arms, runtime, sim_config, config.replications,
+                                         deadline_, config.threads);
+  }
+
+  for (std::size_t app = 0; app < batch_.size(); ++app) {
     double best_meeting = std::numeric_limits<double>::infinity();
     double best_any = std::numeric_limits<double>::infinity();
     for (std::size_t k = 0; k < techniques.size(); ++k) {
       AppTechniqueOutcome outcome;
       outcome.technique = techniques[k];
-      {
-        obs::PhaseTimer phase(obs::Phase::kMonteCarlo);
-        outcome.summary = sim::simulate_replicated(
-            batch_.at(app), group.processor_type, group.processors, runtime, techniques[k],
-            sim_config, seeds.child(app * 64 + k), config.replications, deadline_,
-            config.threads);
-      }
+      outcome.summary = std::move(summaries[app * techniques.size() + k]);
       outcome.meets_deadline = outcome.summary.median_makespan <= deadline_;
       best_any = std::min(best_any, outcome.summary.median_makespan);
       if (outcome.meets_deadline && outcome.summary.median_makespan < best_meeting) {
         best_meeting = outcome.summary.median_makespan;
         result.best_technique[app] = static_cast<int>(k);
       }
-      result.outcomes[app].push_back(outcome);
+      result.outcomes[app].push_back(std::move(outcome));
     }
     if (result.best_technique[app] < 0) {
       result.all_meet_deadline = false;

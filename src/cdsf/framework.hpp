@@ -61,8 +61,9 @@ struct StageTwoConfig {
   sim::SimConfig sim;
   std::size_t replications = 25;
   std::uint64_t seed = 0xC05F;
-  /// Threads for the replication loop (results are thread-count invariant;
-  /// see sim::simulate_replicated). 1 = serial.
+  /// Threads for the case's grid of (application, technique, replication)
+  /// runs (results are thread-count invariant; see
+  /// sim::simulate_replicated). 1 = serial.
   std::size_t threads = 1;
 };
 
@@ -115,7 +116,8 @@ class Framework {
                                                    std::string label) const;
 
   /// Stage II: execute every application of `allocation` under every
-  /// technique in `techniques` against runtime availability `runtime`.
+  /// technique in `techniques` against runtime availability `runtime`, all
+  /// of the case's replicated runs as one grid on config.threads threads.
   [[nodiscard]] StageTwoResult run_stage_two(const ra::Allocation& allocation,
                                              const sysmodel::AvailabilitySpec& runtime,
                                              const std::vector<dls::TechniqueId>& techniques,

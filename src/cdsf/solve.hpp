@@ -14,6 +14,7 @@
 
 #include "cdsf/framework.hpp"
 #include "cdsf/scenario_io.hpp"
+#include "util/parallel.hpp"
 
 namespace cdsf::core {
 
@@ -23,9 +24,10 @@ struct SolveOptions {
   /// Stage II replications per (application, technique, case).
   std::size_t replications = 51;
   std::uint64_t seed = 1;
-  /// Threads for the Stage II replication loop (results are thread-count
-  /// invariant; see sim::simulate_replicated).
-  std::size_t threads = 1;
+  /// Threads for each case's Stage II grid: every CPU this process may run
+  /// on by default (results are thread-count invariant; see
+  /// sim::simulate_replicated).
+  std::size_t threads = util::default_thread_count();
   /// Allocation-space threshold for heuristic selection: spaces up to this
   /// size are solved exactly (ra::ExhaustiveOptimal), larger ones fall
   /// back to ra::BestOfPortfolio.

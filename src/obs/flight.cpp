@@ -159,9 +159,11 @@ void FlightSink::disarm() {
   dumped_ = 0;
 }
 
-bool FlightSink::armed() {
+bool FlightSink::armed() { return budget_left() > 0; }
+
+std::size_t FlightSink::budget_left() {
   std::lock_guard lock(mutex_);
-  return !prefix_.empty() && dumped_ < max_dumps_;
+  return prefix_.empty() ? 0 : max_dumps_ - dumped_;  // dumped_ <= max_dumps_
 }
 
 std::string FlightSink::maybe_dump(const FlightRecord& record,

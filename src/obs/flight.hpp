@@ -265,6 +265,8 @@ class FlightSink {
   /// Run finalization uses this to skip the event merge entirely for clean
   /// runs nobody could dump.
   [[nodiscard]] bool armed();
+  /// Dumps the sink would still write: 0 when unarmed.
+  [[nodiscard]] std::size_t budget_left();
 
   /// Writes a postmortem if armed, the record is enabled, and budget
   /// remains. Returns the path written, or "" when skipped.

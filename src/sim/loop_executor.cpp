@@ -353,13 +353,32 @@ ReplicationSummary simulate_replicated(const workload::Application& application,
                                        dls::TechniqueId technique, const SimConfig& config,
                                        std::uint64_t seed, std::size_t replications,
                                        double deadline, std::size_t threads) {
+  return simulate_replicated({{&application, processor_type, processors, technique, seed}},
+                             availability, config, replications, deadline, threads)
+      .front();
+}
+
+std::vector<ReplicationSummary> simulate_replicated(const std::vector<ReplicatedArm>& arms,
+                                                    const sysmodel::AvailabilitySpec& availability,
+                                                    const SimConfig& config,
+                                                    std::size_t replications, double deadline,
+                                                    std::size_t threads) {
+  std::vector<std::uint64_t> seeds;
+  seeds.reserve(arms.size());
+  for (const ReplicatedArm& arm : arms) {
+    if (arm.application == nullptr) {
+      throw std::invalid_argument("simulate_replicated: arm without an application");
+    }
+    seeds.push_back(arm.seed);
+  }
   // The idealized executor never touches the channel or the checkpoint
   // log, so channel_total / checkpoint_total stay zero.
   return detail::replicate(
-      "simulate_replicated", config, seed, replications, deadline, threads,
-      [&](const SimConfig& run_config, std::uint64_t run_seed) {
-        return simulate_loop(application, processor_type, processors, availability, technique,
-                             run_config, run_seed);
+      "simulate_replicated", config, seeds, replications, deadline, threads,
+      [&](std::size_t a, const SimConfig& run_config, std::uint64_t run_seed) {
+        const ReplicatedArm& arm = arms[a];
+        return simulate_loop(*arm.application, arm.processor_type, arm.processors,
+                             availability, arm.technique, run_config, run_seed);
       });
 }
 

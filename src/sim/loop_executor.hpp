@@ -806,4 +806,26 @@ struct TechniqueComparison {
     dls::TechniqueId technique, const SimConfig& config, std::uint64_t seed,
     std::size_t replications, double deadline, std::size_t threads = 1);
 
+/// One arm of a replicated sweep: `application` (not owned; it must
+/// outlive the call) on `processors` workers of `processor_type` under
+/// `technique`, its replications seeded from `seed`.
+struct ReplicatedArm {
+  const workload::Application* application = nullptr;
+  std::size_t processor_type = 0;
+  std::size_t processors = 0;
+  dls::TechniqueId technique = dls::TechniqueId::kStatic;
+  std::uint64_t seed = 0;
+};
+
+/// simulate_replicated for many arms under one availability case: returns
+/// one summary per arm, each equal to the single-arm call's. The runs of
+/// all arms form one index space whose threads claim one run at a time,
+/// so arms of unequal cost keep every thread busy. Throws
+/// std::invalid_argument if replications == 0 or an arm has no
+/// application.
+[[nodiscard]] std::vector<ReplicationSummary> simulate_replicated(
+    const std::vector<ReplicatedArm>& arms, const sysmodel::AvailabilitySpec& availability,
+    const SimConfig& config, std::size_t replications, double deadline,
+    std::size_t threads = 1);
+
 }  // namespace cdsf::sim

@@ -973,13 +973,14 @@ ReplicationSummary simulate_replicated_mpi(const workload::Application& applicat
                                            const MessageModel& messages, std::uint64_t seed,
                                            std::size_t replications, double deadline,
                                            std::size_t threads) {
-  return detail::replicate(
-      "simulate_replicated_mpi", config, seed, replications, deadline, threads,
-      [&](const SimConfig& run_config, std::uint64_t run_seed) {
-        return simulate_loop_mpi(application, processor_type, processors, availability,
-                                 technique, run_config, messages, run_seed)
-            .run;
-      });
+  const auto run_one = [&](std::size_t, const SimConfig& run_config, std::uint64_t run_seed) {
+    return simulate_loop_mpi(application, processor_type, processors, availability, technique,
+                             run_config, messages, run_seed)
+        .run;
+  };
+  return detail::replicate("simulate_replicated_mpi", config, {seed}, replications, deadline,
+                           threads, run_one)
+      .front();
 }
 
 }  // namespace cdsf::sim

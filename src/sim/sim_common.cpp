@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <map>
+#include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -783,13 +787,75 @@ void ChunkLedger::forget() {
   stragglers_.clear();
 }
 
+namespace {
+
+/// The postmortems of one replicated sweep, held until the sweep ends so
+/// that they reach the sink in run order whatever order the runs finish
+/// in. It keeps at most `budget` records, the lowest-indexed ones: no
+/// serial sweep could write any other.
+class PostmortemQueue {
+ public:
+  explicit PostmortemQueue(std::size_t budget) : budget_(budget) {}
+
+  void offer(std::size_t run, const obs::FlightRecord& record,
+             const obs::FlightAnomaly& anomaly) {
+    if (!record.enabled) return;  // the sink would skip it too
+    std::lock_guard lock(mutex_);
+    if (held_.size() == budget_ && run > held_.rbegin()->first) return;
+    held_.insert_or_assign(run, std::make_pair(record, anomaly));
+    if (held_.size() > budget_) held_.erase(std::prev(held_.end()));
+  }
+
+  /// Writes the held postmortems of runs [0, end) in run order.
+  void write(std::size_t end) {
+    std::lock_guard lock(mutex_);
+    for (const auto& [run, postmortem] : held_) {
+      if (run >= end) break;
+      obs::FlightSink::global().maybe_dump(postmortem.first, postmortem.second);
+    }
+  }
+
+ private:
+  std::size_t budget_;
+  std::mutex mutex_;
+  std::map<std::size_t, std::pair<obs::FlightRecord, obs::FlightAnomaly>> held_;
+};
+
+/// The queue of the replicated sweep whose run this thread executes, and
+/// that run's index; null outside replicate.
+thread_local PostmortemQueue* t_postmortems = nullptr;
+thread_local std::size_t t_run = 0;
+
+/// Points this thread's postmortems at `queue` as run `run` until the run
+/// ends, by an exception too.
+class QueueRunPostmortems {
+ public:
+  QueueRunPostmortems(PostmortemQueue* queue, std::size_t run) {
+    t_postmortems = queue;
+    t_run = run;
+  }
+  QueueRunPostmortems(const QueueRunPostmortems&) = delete;
+  QueueRunPostmortems& operator=(const QueueRunPostmortems&) = delete;
+  ~QueueRunPostmortems() { t_postmortems = nullptr; }
+};
+
+/// A single run dumps its postmortem as it ends; a replicated run queues it.
+void dump_postmortem(const obs::FlightRecord& record, const obs::FlightAnomaly& anomaly) {
+  if (t_postmortems != nullptr) {
+    t_postmortems->offer(t_run, record, anomaly);
+  } else {
+    obs::FlightSink::global().maybe_dump(record, anomaly);
+  }
+}
+
+}  // namespace
+
 void finish_run(RunResult& result, const SimConfig& config, const EventWriter& events,
                 GrayPolicy& gray, double now, std::int64_t stranded, const char* executor,
                 const char* strand_reason) {
   if (stranded > 0) {
     const std::string detail = std::to_string(stranded) + strand_reason;
-    obs::FlightSink::global().maybe_dump(events.flight().finish(),
-                                         obs::FlightAnomaly{"strand", detail, now});
+    dump_postmortem(events.flight().finish(), obs::FlightAnomaly{"strand", detail, now});
     throw std::runtime_error(std::string(executor) + ": " + detail);
   }
   gray.finish(std::max(result.makespan, now));
@@ -824,16 +890,16 @@ void finish_run(RunResult& result, const SimConfig& config, const EventWriter& e
   }
   // The merged, time-sorted event tail is only ever read by a postmortem
   // dump — this run's (anomalous) or a later chaos-invariant dump (armed
-  // sink). Clean runs under an unarmed sink take the summary-only path,
+  // sink; the replication driver keeps no run's record). Clean runs under
+  // an unarmed sink or in a replicated sweep take the summary-only path,
   // which skips the merge sort entirely (the recorder's overhead budget).
-  if (!anomaly.kind.empty() || obs::FlightSink::global().armed()) {
+  if (!anomaly.kind.empty() ||
+      (t_postmortems == nullptr && obs::FlightSink::global().armed())) {
     result.flight = events.flight().finish();
   } else {
     result.flight = events.flight().finish_summary();
   }
-  if (!anomaly.kind.empty()) {
-    obs::FlightSink::global().maybe_dump(result.flight, anomaly);
-  }
+  if (!anomaly.kind.empty()) dump_postmortem(result.flight, anomaly);
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
   if (!metrics.enabled()) return;
   metrics.add("sim.runs");
@@ -904,10 +970,10 @@ void summarize_makespans(ReplicationSummary& summary, std::vector<double> sample
 
 }  // namespace
 
-ReplicationSummary replicate(
-    const char* caller, const SimConfig& config, std::uint64_t seed,
+std::vector<ReplicationSummary> replicate(
+    const char* caller, const SimConfig& config, const std::vector<std::uint64_t>& arm_seeds,
     std::size_t replications, double deadline, std::size_t threads,
-    const std::function<RunResult(const SimConfig&, std::uint64_t)>& run_one) {
+    const std::function<RunResult(std::size_t, const SimConfig&, std::uint64_t)>& run_one) {
   if (replications == 0) {
     throw std::invalid_argument(std::string(caller) + ": replications must be >= 1");
   }
@@ -916,38 +982,73 @@ ReplicationSummary replicate(
   if (run_config.flight.deadline == 0.0 && deadline > 0.0 && std::isfinite(deadline)) {
     run_config.flight.deadline = deadline;
   }
-  // Each replication derives all randomness from its own child seed and
-  // writes only its own slot.
-  const util::SeedSequence seeds(seed);
-  std::vector<double> samples(replications);
-  std::vector<FaultStats> faults(replications);
-  std::vector<SpeculationStats> speculation(replications);
-  std::vector<QuarantineStats> quarantine(replications);
-  std::vector<ChannelStats> channel(replications);
-  std::vector<CheckpointStats> checkpoint(replications);
-  util::parallel_for_index(replications, threads, [&](std::size_t r) {
-    // Monte-Carlo checkpoint boundary: a cancelled token aborts the sweep
-    // within one replication (the exception propagates out of
-    // parallel_for_index after all threads join).
-    util::throw_if_cancelled(run_config.cancel);
-    const RunResult run = run_one(run_config, seeds.child(r));
-    samples[r] = run.makespan;
-    faults[r] = run.faults;
-    speculation[r] = run.speculation;
-    quarantine[r] = run.quarantine;
-    channel[r] = run.channel;
-    checkpoint[r] = run.checkpoint;
-  });
-  ReplicationSummary summary;
-  // Summed in replication order — independent of the thread count.
-  for (const FaultStats& f : faults) summary.faults_total.accumulate(f);
-  for (const SpeculationStats& s : speculation) summary.speculation_total.accumulate(s);
-  for (const ChannelStats& c : channel) summary.channel_total.accumulate(c);
-  for (const CheckpointStats& c : checkpoint) summary.checkpoint_total.accumulate(c);
-  for (const QuarantineStats& q : quarantine) summary.quarantine_total.accumulate(q);
-  summarize_makespans(summary, std::move(samples), deadline);
-  return summary;
-}
+  // Run i is replication i % replications of arm i / replications. Each
+  // derives all randomness from its own child seed and writes only its
+  // own slot.
+  struct RunSlot {
+    double makespan = 0.0;
+    FaultStats faults;
+    SpeculationStats speculation;
+    QuarantineStats quarantine;
+    ChannelStats channel;
+    CheckpointStats checkpoint;
+    bool done = false;
+  };
+  std::vector<util::SeedSequence> seeds;
+  seeds.reserve(arm_seeds.size());
+  for (std::uint64_t seed : arm_seeds) seeds.emplace_back(seed);
+  const std::size_t runs = arm_seeds.size() * replications;
+  std::vector<RunSlot> slots(runs);
+  const std::size_t budget = obs::FlightSink::global().budget_left();
+  std::optional<PostmortemQueue> postmortems;
+  if (budget > 0) postmortems.emplace(budget);
+  try {
+    util::parallel_for_index(runs, threads, [&](std::size_t i) {
+      // Monte-Carlo checkpoint boundary: a cancelled token aborts the
+      // sweep within one replication per thread.
+      util::throw_if_cancelled(run_config.cancel);
+      const QueueRunPostmortems queued(postmortems ? &*postmortems : nullptr, i);
+      const std::size_t arm = i / replications;
+      const RunResult run = run_one(arm, run_config, seeds[arm].child(i % replications));
+      RunSlot& slot = slots[i];
+      slot.makespan = run.makespan;
+      slot.faults = run.faults;
+      slot.speculation = run.speculation;
+      slot.quarantine = run.quarantine;
+      slot.channel = run.channel;
+      slot.checkpoint = run.checkpoint;
+      slot.done = true;
+    });
+  } catch (...) {
+    // A serial sweep stops at the lowest failing run, the one rethrown:
+    // every run before it finished, so it is the first unfinished slot.
+    if (postmortems) {
+      std::size_t failed = 0;
+      while (failed < runs && slots[failed].done) ++failed;
+      postmortems->write(failed + 1);
+    }
+    throw;
+  }
+  if (postmortems) postmortems->write(runs);
 
+  std::vector<ReplicationSummary> summaries(arm_seeds.size());
+  for (std::size_t arm = 0; arm < arm_seeds.size(); ++arm) {
+    ReplicationSummary& summary = summaries[arm];
+    std::vector<double> samples;
+    samples.reserve(replications);
+    // Summed in replication order — independent of the thread count.
+    for (std::size_t i = arm * replications; i < (arm + 1) * replications; ++i) {
+      const RunSlot& slot = slots[i];
+      samples.push_back(slot.makespan);
+      summary.faults_total.accumulate(slot.faults);
+      summary.speculation_total.accumulate(slot.speculation);
+      summary.channel_total.accumulate(slot.channel);
+      summary.checkpoint_total.accumulate(slot.checkpoint);
+      summary.quarantine_total.accumulate(slot.quarantine);
+    }
+    summarize_makespans(summary, std::move(samples), deadline);
+  }
+  return summaries;
+}
 
 }  // namespace cdsf::sim::detail

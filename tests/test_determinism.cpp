@@ -9,6 +9,8 @@
 
 #include <string>
 
+#include "cdsf/scenario_io.hpp"
+#include "cdsf/solve.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
@@ -64,6 +66,43 @@ TEST(Determinism, ReplicationSummaryReportBytesAreThreadCountInvariant) {
   const std::string serial = render(1);
   EXPECT_EQ(serial, render(2));
   EXPECT_EQ(serial, render(4));
+}
+
+/// The encoded scenario report of one solve_on of `text` at 7
+/// replications on `threads` threads.
+std::string solve_report(const std::string& text, std::size_t threads) {
+  const core::Scenario scenario = core::parse_scenario_text(text);
+  const core::Framework framework = core::make_framework(scenario);
+  core::SolveOptions options;
+  options.replications = 7;
+  options.threads = threads;
+  const core::SolveOutcome outcome = core::solve_on(framework, scenario, options);
+  return obs::make_scenario_report(framework, outcome.scenario, scenario.cases).dump(1);
+}
+
+/// Checks the report at 2, 3 and 8 threads against 1 thread; returns the
+/// 1-thread report.
+std::string expect_solve_thread_count_invariant(const std::string& text) {
+  const std::string serial = solve_report(text, 1);
+  for (std::size_t threads : {2u, 3u, 8u}) {
+    EXPECT_EQ(serial, solve_report(text, threads)) << "threads=" << threads;
+  }
+  return serial;
+}
+
+TEST(Determinism, SolveReportBytesAreThreadCountInvariant) {
+  // Each case's Stage II is one grid of (application, technique,
+  // replication) runs; the report must not see how threads claimed it.
+  expect_solve_thread_count_invariant(core::paper_scenario_text());
+}
+
+TEST(Determinism, SolveReportWithFaultSectionsIsThreadCountInvariant) {
+  // Crash-recover reclaims and quarantine audits on every run of the grid.
+  const std::string faulty = expect_solve_thread_count_invariant(
+      core::paper_scenario_text() +
+      "\n[failure]\nworker = 1\ntime = 600\nkind = crash-recover\nrecovery = 1400\n"
+      "\n[quarantine]\naudit-rate = 0.1\n");
+  EXPECT_NE(faulty, solve_report(core::paper_scenario_text(), 1));
 }
 
 TEST(Determinism, MetricsSnapshotOrderIsInsertionOrderInvariant) {

@@ -15,10 +15,12 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "cdsf/paper_example.hpp"
 #include "obs/flight.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -54,9 +56,7 @@ std::string slurp(const fs::path& path) {
   return buffer.str();
 }
 
-/// Every dump in `dir`, sorted by content: replicated runs finish in a
-/// thread-dependent order, so file NUMBERS race while the set of dumped
-/// documents must not.
+/// Every dump in `dir`, sorted by content.
 std::vector<std::string> sorted_dump_contents(const fs::path& dir) {
   std::vector<std::string> contents;
   for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
@@ -237,6 +237,31 @@ TEST(FlightPostmortem, DumpsAreByteIdenticalAcrossRunsAndThreadCounts) {
   ASSERT_EQ(serial.size(), 5u);  // every replication misses deadline 1.0
   EXPECT_EQ(serial, serial_again);
   EXPECT_EQ(serial, threaded);
+}
+
+TEST(FlightPostmortem, ReplicatedDumpsFollowReplicationOrder) {
+  // More runs miss the deadline than the budget admits, so which four get
+  // written must be decided by replication order, not by finishing order.
+  const auto example = core::make_paper_example();
+  auto dump_replicated = [&](const std::string& name, std::size_t threads) {
+    const fs::path dir = scratch_dir(name);
+    {
+      ArmedSink sink(dir / "pm", 4);
+      (void)sim::simulate_replicated(example.batch.at(2), 1, 8, example.cases[3],
+                                     dls::TechniqueId::kAF, sim::SimConfig{}, 77, 40,
+                                     example.deadline, threads);
+    }
+    std::map<std::string, std::string> files;
+    for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+      files[entry.path().filename().string()] = slurp(entry.path());
+    }
+    return files;
+  };
+  const std::map<std::string, std::string> serial = dump_replicated("order_serial", 1);
+  ASSERT_EQ(serial.size(), 4u);
+  for (int repeat = 0; repeat < 10; ++repeat) {
+    EXPECT_EQ(serial, dump_replicated("order_threaded", 4)) << "repeat " << repeat;
+  }
 }
 
 TEST(FlightPostmortem, UnarmedSinkWritesNothing) {

@@ -1,7 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <stdexcept>
+#include <string>
+#include <thread>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "cdsf/paper_example.hpp"
 #include "ra/robustness.hpp"
@@ -14,9 +22,14 @@ namespace {
 // ----------------------------------------------------- parallel_for_index --
 
 TEST(ParallelFor, EveryIndexVisitedExactlyOnce) {
-  for (std::size_t threads : {1u, 2u, 4u, 7u}) {
+  // Every seventh body is slow, so threads claim very different numbers of
+  // indices.
+  for (std::size_t threads : {1u, 2u, 3u, 4u, 7u, 8u}) {
     std::vector<std::atomic<int>> visits(100);
-    util::parallel_for_index(100, threads, [&](std::size_t i) { ++visits[i]; });
+    util::parallel_for_index(100, threads, [&](std::size_t i) {
+      if (i % 7 == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      ++visits[i];
+    });
     for (std::size_t i = 0; i < visits.size(); ++i) {
       EXPECT_EQ(visits[i].load(), 1) << "i=" << i << " threads=" << threads;
     }
@@ -49,12 +62,24 @@ TEST(ParallelFor, ZeroCountIsNoop) {
 }
 
 TEST(ParallelFor, ExceptionsPropagate) {
-  EXPECT_THROW(util::parallel_for_index(
-                   10, 4,
-                   [](std::size_t i) {
-                     if (i == 7) throw std::runtime_error("boom");
-                   }),
-               std::runtime_error);
+  // Index 3 fails late and index 7 early, so with several threads 7 usually
+  // throws first; the rethrown exception must still be index 3's, as in a
+  // serial loop.
+  for (std::size_t threads : {1u, 2u, 4u, 7u}) {
+    std::string message;
+    try {
+      util::parallel_for_index(10, threads, [](std::size_t i) {
+        if (i == 3) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          throw std::runtime_error("index 3");
+        }
+        if (i == 7) throw std::runtime_error("index 7");
+      });
+    } catch (const std::runtime_error& error) {
+      message = error.what();
+    }
+    EXPECT_EQ(message, "index 3") << "threads=" << threads;
+  }
 }
 
 TEST(ParallelFor, DefaultThreadCountIsSane) {
@@ -62,6 +87,26 @@ TEST(ParallelFor, DefaultThreadCountIsSane) {
   EXPECT_GE(n, 1u);
   EXPECT_LE(n, 64u);
 }
+
+#if defined(__linux__)
+TEST(ParallelFor, DefaultThreadCountFollowsTheAffinityMask) {
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof saved, &saved), 0);
+  int first = -1;
+  for (int cpu = 0; cpu < CPU_SETSIZE && first < 0; ++cpu) {
+    if (CPU_ISSET(cpu, &saved)) first = cpu;
+  }
+  ASSERT_GE(first, 0);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
+  const std::size_t pinned = util::default_thread_count();
+  ASSERT_EQ(sched_setaffinity(0, sizeof saved, &saved), 0);
+  EXPECT_EQ(pinned, 1u);
+}
+#endif
 
 // ------------------------------------- replication thread-count invariance --
 
@@ -116,6 +161,42 @@ TEST(ParallelReplication, CrashFaultStatsBitIdenticalAcrossThreadCounts) {
     EXPECT_DOUBLE_EQ(parallel.faults_total.wasted_work, serial.faults_total.wasted_work)
         << threads;
   }
+}
+
+TEST(ParallelReplication, ArmListMatchesSingleArmCalls) {
+  const auto example = core::make_paper_example();
+  sim::SimConfig config;
+  sim::SimConfig::Failure blip;
+  blip.worker = 1;
+  blip.time = 300.0;
+  blip.kind = sim::SimConfig::FailureKind::kCrashRecover;
+  blip.recovery_time = 800.0;
+  config.failures.push_back(blip);
+  const std::vector<sim::ReplicatedArm> arms = {
+      {&example.batch.at(0), 0, 2, dls::TechniqueId::kFAC, 11},
+      {&example.batch.at(2), 1, 8, dls::TechniqueId::kAF, 12},
+      {&example.batch.at(1), 0, 2, dls::TechniqueId::kAWF_B, 13}};
+  for (std::size_t threads : {1u, 3u}) {
+    const std::vector<sim::ReplicationSummary> grid = sim::simulate_replicated(
+        arms, example.cases[3], config, 9, example.deadline, threads);
+    ASSERT_EQ(grid.size(), arms.size());
+    for (std::size_t a = 0; a < arms.size(); ++a) {
+      const sim::ReplicatedArm& arm = arms[a];
+      EXPECT_EQ(grid[a], sim::simulate_replicated(*arm.application, arm.processor_type,
+                                                  arm.processors, example.cases[3],
+                                                  arm.technique, config, arm.seed, 9,
+                                                  example.deadline, 1))
+          << "arm " << a << " threads=" << threads;
+    }
+  }
+  EXPECT_TRUE(sim::simulate_replicated({}, example.cases[3], config, 9, example.deadline, 2)
+                  .empty());
+  EXPECT_THROW((void)sim::simulate_replicated(arms, example.cases[3], config, 0,
+                                              example.deadline, 2),
+               std::invalid_argument);
+  EXPECT_THROW((void)sim::simulate_replicated({sim::ReplicatedArm{}}, example.cases[3], config,
+                                              9, example.deadline, 2),
+               std::invalid_argument);
 }
 
 // --------------------------------------------------- system makespan PMF --
