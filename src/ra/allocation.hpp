@@ -69,8 +69,12 @@ class Allocation {
                                                          const sysmodel::Platform& platform,
                                                          CountRule rule);
 
-/// Number of feasible allocations without materializing them (for sizing
-/// reports in the large-scale bench).
+/// Number of feasible allocations, enumerate_feasible(...).size(), counted
+/// without visiting them: per type, the ordered tuples of candidate counts
+/// that fit its capacity, combined over types with binomial coefficients
+/// (applications are labelled). Polynomial in the batch size and the
+/// capacities. Returns SIZE_MAX when the count does not fit in a size_t.
+/// Throws std::invalid_argument if applications == 0.
 [[nodiscard]] std::size_t count_feasible(std::size_t applications,
                                          const sysmodel::Platform& platform, CountRule rule);
 

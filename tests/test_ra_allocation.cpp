@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
+#include <vector>
 
 #include "ra/allocation.hpp"
 #include "test_support.hpp"
@@ -84,11 +86,37 @@ TEST(Enumerate, ContainsThePaperAllocations) {
 }
 
 TEST(Enumerate, CountMatchesMaterialization) {
-  const auto platform = small_platform();
-  for (std::size_t apps : {1u, 2u, 3u}) {
-    EXPECT_EQ(count_feasible(apps, platform, CountRule::kPowerOfTwo),
-              enumerate_feasible(apps, platform, CountRule::kPowerOfTwo).size());
+  // One to three types, with capacity 1 and capacities that are not powers
+  // of two, under both rules, for one to five applications.
+  const std::vector<sysmodel::Platform> platforms = {
+      sysmodel::Platform({{"a", 1}}),
+      sysmodel::Platform({{"a", 6}}),
+      small_platform(),
+      sysmodel::Platform({{"a", 1}, {"b", 5}}),
+      sysmodel::Platform({{"a", 3}, {"b", 1}, {"c", 6}}),
+      sysmodel::Platform({{"a", 2}, {"b", 4}, {"c", 7}}),
+  };
+  for (const sysmodel::Platform& platform : platforms) {
+    for (const CountRule rule : {CountRule::kPowerOfTwo, CountRule::kAny}) {
+      for (std::size_t apps = 1; apps <= 5; ++apps) {
+        EXPECT_EQ(count_feasible(apps, platform, rule),
+                  enumerate_feasible(apps, platform, rule).size())
+            << "types=" << platform.type_count() << " total=" << platform.total_processors()
+            << " any=" << (rule == CountRule::kAny) << " apps=" << apps;
+      }
+    }
   }
+
+  // The large-scale platform (8/16/32): the large_stage1 batch of 5
+  // applications and bench_large_scale's 10.
+  const sysmodel::Platform large({{"fast", 8}, {"mid", 16}, {"slow", 32}});
+  EXPECT_EQ(count_feasible(5, large, CountRule::kPowerOfTwo), 278236u);
+  EXPECT_EQ(count_feasible(10, large, CountRule::kPowerOfTwo), 21250540483u);
+  // 40 applications there are about 3.9e27 allocations: the count saturates.
+  EXPECT_EQ(count_feasible(40, large, CountRule::kPowerOfTwo),
+            std::numeric_limits<std::size_t>::max());
+  // More applications than processors: nothing fits.
+  EXPECT_EQ(count_feasible(57, large, CountRule::kAny), 0u);
 }
 
 TEST(Enumerate, AnyRuleIsSuperset) {
