@@ -47,9 +47,13 @@ StageOneResult Framework::describe_allocation(const ra::Allocation& allocation,
   return result;
 }
 
-StageOneResult Framework::run_stage_one(const ra::Heuristic& heuristic,
-                                        ra::CountRule rule) const {
+StageOneResult Framework::run_stage_one(const ra::Heuristic& heuristic, ra::CountRule rule,
+                                        std::size_t threads) const {
   obs::ScopedTimer timer(obs::MetricsRegistry::global(), "cdsf.stage1.seconds");
+  // The completion table first, on `threads` threads, so the search below
+  // reads memoized entries only; the table's PMF phases sit outside the
+  // enumeration phase.
+  evaluator_.precompute(platform_, rule, threads);
   ra::Allocation allocation = [&] {
     // The enumeration phase wraps the heuristic's whole search; PMF
     // convolution/compaction nested inside report as their own phases
@@ -61,7 +65,7 @@ StageOneResult Framework::run_stage_one(const ra::Heuristic& heuristic,
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
   if (metrics.enabled()) {
     metrics.add("cdsf.stage1.allocations");
-    metrics.set_gauge("cdsf.stage1.phi1", result.phi1);
+    metrics.observe("cdsf.stage1.phi1", result.phi1);
   }
   return result;
 }
@@ -151,7 +155,7 @@ ScenarioResult Framework::run_scenario(std::string name, const ra::Heuristic& he
                                        const StageTwoConfig& config, ra::CountRule rule) const {
   ScenarioResult result;
   result.name = std::move(name);
-  result.stage_one = run_stage_one(heuristic, rule);
+  result.stage_one = run_stage_one(heuristic, rule, config.threads);
   result.per_case.reserve(cases.size());
   for (const sysmodel::AvailabilitySpec& runtime : cases) {
     result.per_case.push_back(

@@ -63,7 +63,8 @@ struct StageTwoConfig {
   std::uint64_t seed = 0xC05F;
   /// Threads for the case's grid of (application, technique, replication)
   /// runs (results are thread-count invariant; see
-  /// sim::simulate_replicated). 1 = serial.
+  /// sim::simulate_replicated), and for Stage I's completion table when
+  /// run_scenario drives both stages. 1 = serial.
   std::size_t threads = 1;
 };
 
@@ -107,9 +108,13 @@ class Framework {
   /// The Stage I evaluator (reference availability Â).
   [[nodiscard]] const ra::RobustnessEvaluator& evaluator() const noexcept { return evaluator_; }
 
-  /// Stage I: run an RA heuristic against Â.
+  /// Stage I: run an RA heuristic against Â. First memoizes, on `threads`
+  /// threads, every completion PMF a search under `rule` can query
+  /// (ra::RobustnessEvaluator::precompute); the result is the same for any
+  /// thread count.
   [[nodiscard]] StageOneResult run_stage_one(const ra::Heuristic& heuristic,
-                                             ra::CountRule rule = ra::CountRule::kPowerOfTwo) const;
+                                             ra::CountRule rule = ra::CountRule::kPowerOfTwo,
+                                             std::size_t threads = 1) const;
 
   /// Stage I bookkeeping for an externally chosen allocation.
   [[nodiscard]] StageOneResult describe_allocation(const ra::Allocation& allocation,
@@ -123,7 +128,8 @@ class Framework {
                                              const std::vector<dls::TechniqueId>& techniques,
                                              const StageTwoConfig& config) const;
 
-  /// Full scenario: Stage I with `heuristic`, then Stage II over `cases`.
+  /// Full scenario: Stage I with `heuristic`, then Stage II over `cases`,
+  /// both on config.threads threads.
   [[nodiscard]] ScenarioResult run_scenario(std::string name, const ra::Heuristic& heuristic,
                                             const std::vector<dls::TechniqueId>& techniques,
                                             const std::vector<sysmodel::AvailabilitySpec>& cases,

@@ -24,8 +24,9 @@ struct SolveOptions {
   /// Stage II replications per (application, technique, case).
   std::size_t replications = 51;
   std::uint64_t seed = 1;
-  /// Threads for each case's Stage II grid: every CPU this process may run
-  /// on by default (results are thread-count invariant; see
+  /// Threads for Stage I's completion table and each case's Stage II grid:
+  /// every CPU this process may run on by default (results are
+  /// thread-count invariant; see ra::RobustnessEvaluator::precompute and
   /// sim::simulate_replicated).
   std::size_t threads = util::default_thread_count();
   /// Allocation-space threshold for heuristic selection: spaces up to this

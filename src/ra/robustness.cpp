@@ -3,12 +3,15 @@
 #include <algorithm>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "pmf/ops.hpp"
 #include "pmf/parallel_time.hpp"
 #include "util/cancel.hpp"
+#include "util/parallel.hpp"
 
 namespace cdsf::ra {
 
@@ -52,16 +55,43 @@ const RobustnessEvaluator::Completion& RobustnessEvaluator::completion(
 
   const Key key{app, group.processor_type, group.processors};
   if (auto it = cache_.find(key); it != cache_.end()) return it->second;
+  return cache_.emplace(key, compute(key)).first->second;
+}
 
-  const workload::Application& application = batch_->at(app);
-  const pmf::Pmf parallel = application.parallel_pmf(group.processor_type, group.processors,
-                                                     config_.discretization_pulses);
+RobustnessEvaluator::Completion RobustnessEvaluator::compute(const Key& key) const {
+  const pmf::Pmf parallel = batch_->at(key.app).parallel_pmf(
+      key.processor_type, key.processors, config_.discretization_pulses);
   pmf::Pmf completion_time = pmf::apply_availability(
-      parallel, availability_->of_type(group.processor_type), config_.max_pulses);
+      parallel, availability_->of_type(key.processor_type), config_.max_pulses);
   const double probability = completion_time.cdf(deadline_);
   const double expectation = completion_time.expectation();
-  return cache_.emplace(key, Completion{std::move(completion_time), probability, expectation})
-      .first->second;
+  return Completion{std::move(completion_time), probability, expectation};
+}
+
+void RobustnessEvaluator::precompute(const sysmodel::Platform& platform, CountRule rule,
+                                     std::size_t threads) const {
+  if (platform.type_count() != availability_->type_count()) {
+    throw std::invalid_argument("precompute: platform/availability type count mismatch");
+  }
+  std::vector<Key> missing;
+  for (std::size_t app = 0; app < batch_->size(); ++app) {
+    for (std::size_t type = 0; type < platform.type_count(); ++type) {
+      for (const std::size_t count : candidate_counts(platform.processors_of_type(type), rule)) {
+        const Key key{app, type, count};
+        if (!cache_.contains(key)) missing.push_back(key);
+      }
+    }
+  }
+  // Each body writes only its own slot; whether one throws depends only on
+  // the token, so the lowest-index rethrow is the serial loop's exception.
+  std::vector<std::optional<Completion>> computed(missing.size());
+  util::parallel_for_index(missing.size(), threads, [&](std::size_t i) {
+    util::throw_if_cancelled(config_.cancel);
+    computed[i].emplace(compute(missing[i]));
+  });
+  for (std::size_t i = 0; i < missing.size(); ++i) {
+    cache_.emplace(missing[i], std::move(*computed[i]));
+  }
 }
 
 const pmf::Pmf& RobustnessEvaluator::completion_pmf(std::size_t app, GroupAssignment group) const {

@@ -30,9 +30,10 @@ struct RobustnessConfig {
   std::size_t max_pulses = 2048;
   /// Cooperative cancellation hook (util::CancelToken::flag()); polled at
   /// every RA-enumeration boundary (each candidate completion-PMF
-  /// evaluation), so an exhaustive Stage I search unwinds with
-  /// util::Cancelled shortly after the owning watchdog fires. Null = never
-  /// cancelled. The pointee must outlive the evaluator.
+  /// evaluation) and before each completion precompute() builds, so a
+  /// Stage I search unwinds with util::Cancelled shortly after the owning
+  /// watchdog fires. Null = never cancelled. The pointee must outlive the
+  /// evaluator.
   const std::atomic<bool>* cancel = nullptr;
 };
 
@@ -42,9 +43,11 @@ struct RobustnessConfig {
 /// expectation, each computed once from the PMF, so exhaustive searches stay
 /// cheap: a repeated query is a hash lookup, not a pulse scan.
 ///
-/// NOT thread-safe: the memoization cache mutates on const queries. Give
-/// each thread its own evaluator (construction is cheap; the cache warms in
-/// microseconds) rather than sharing one across util::parallel_for_index.
+/// NOT thread-safe: the const queries write the memoization cache, so one
+/// evaluator must not be shared across threads (util::parallel_for_index
+/// included); give each thread its own. precompute() is the one parallel
+/// entry: it builds completions on its own threads and writes the cache
+/// from the calling thread only.
 class RobustnessEvaluator {
  public:
   /// The batch, spec and platform must outlive the evaluator.
@@ -55,6 +58,16 @@ class RobustnessEvaluator {
 
   /// Completion-time PMF of application `app` under `group` (steps 1-3).
   [[nodiscard]] const pmf::Pmf& completion_pmf(std::size_t app, GroupAssignment group) const;
+
+  /// Memoizes every completion a search on `platform` under `rule` can
+  /// query and the cache lacks: each (application, type, count) with count
+  /// in candidate_counts(platform.processors_of_type(type), rule). They are
+  /// computed on `threads` threads (util::parallel_for_index) and inserted
+  /// from the calling thread, bit-identical to the lazy queries' entries at
+  /// any thread count. Each computation polls the cancel token first, so a
+  /// cancelled token throws util::Cancelled. Throws std::invalid_argument
+  /// if the platform's type count differs from the availability spec's.
+  void precompute(const sysmodel::Platform& platform, CountRule rule, std::size_t threads) const;
 
   /// Pr(application completes <= deadline) under `group`: the memoized
   /// completion_pmf(app, group).cdf(deadline()).
@@ -119,6 +132,11 @@ class RobustnessEvaluator {
   /// Polls the cancel token, validates the arguments, then returns the
   /// memoized entry, computing it on first use.
   const Completion& completion(std::size_t app, GroupAssignment group) const;
+
+  /// Steps 1-3 for one valid key, with the deadline probability and the
+  /// expectation. Reads only immutable state, so distinct keys may be
+  /// computed concurrently.
+  Completion compute(const Key& key) const;
 
   const workload::Batch* batch_;
   const sysmodel::AvailabilitySpec* availability_;

@@ -172,8 +172,8 @@ int cmd_scenario(int argc, char** argv) {
   cli.add_int("replications", 51, "stage II replications");
   cli.add_int("seed", 1, "seed");
   cli.add_int("threads", 0,
-              "stage II threads (0 = every CPU this process may run on; reports are "
-              "byte-identical across values)");
+              "threads for Stage I's completion table and Stage II (0 = every CPU this "
+              "process may run on; reports are byte-identical across values)");
   cli.add_string("report-json", "", "write a structured JSON scenario report here");
   cli.add_string("trace-json", "", "write a Perfetto trace of one locked-plan execution here");
   add_common_flags(cli);

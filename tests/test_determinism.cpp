@@ -69,23 +69,28 @@ TEST(Determinism, ReplicationSummaryReportBytesAreThreadCountInvariant) {
 }
 
 /// The encoded scenario report of one solve_on of `text` at 7
-/// replications on `threads` threads.
-std::string solve_report(const std::string& text, std::size_t threads) {
+/// replications on `threads` threads, with Stage I exhaustive up to
+/// `space_limit` allocations.
+std::string solve_report(const std::string& text, std::size_t threads,
+                         std::size_t space_limit = core::SolveOptions{}.exhaustive_space_limit) {
   const core::Scenario scenario = core::parse_scenario_text(text);
   const core::Framework framework = core::make_framework(scenario);
   core::SolveOptions options;
   options.replications = 7;
   options.threads = threads;
+  options.exhaustive_space_limit = space_limit;
   const core::SolveOutcome outcome = core::solve_on(framework, scenario, options);
   return obs::make_scenario_report(framework, outcome.scenario, scenario.cases).dump(1);
 }
 
 /// Checks the report at 2, 3 and 8 threads against 1 thread; returns the
 /// 1-thread report.
-std::string expect_solve_thread_count_invariant(const std::string& text) {
-  const std::string serial = solve_report(text, 1);
+std::string expect_solve_thread_count_invariant(
+    const std::string& text,
+    std::size_t space_limit = core::SolveOptions{}.exhaustive_space_limit) {
+  const std::string serial = solve_report(text, 1, space_limit);
   for (std::size_t threads : {2u, 3u, 8u}) {
-    EXPECT_EQ(serial, solve_report(text, threads)) << "threads=" << threads;
+    EXPECT_EQ(serial, solve_report(text, threads, space_limit)) << "threads=" << threads;
   }
   return serial;
 }
@@ -103,6 +108,16 @@ TEST(Determinism, SolveReportWithFaultSectionsIsThreadCountInvariant) {
       "\n[failure]\nworker = 1\ntime = 600\nkind = crash-recover\nrecovery = 1400\n"
       "\n[quarantine]\naudit-rate = 0.1\n");
   EXPECT_NE(faulty, solve_report(core::paper_scenario_text(), 1));
+}
+
+TEST(Determinism, SolveReportWithCompactedTableAndPortfolioIsThreadCountInvariant) {
+  // 64 availability levels make every completion PMF of Stage I's table
+  // compact, and a zero space limit sends the search to the portfolio.
+  core::Scenario scenario = core::parse_scenario_text(core::paper_scenario_text());
+  scenario.cases = {test::leveled_availability(scenario.platform.type_count(), 64)};
+  const std::string report =
+      expect_solve_thread_count_invariant(core::scenario_to_text(scenario), 0);
+  EXPECT_NE(report.find("\"BestOfPortfolio\""), std::string::npos);
 }
 
 TEST(Determinism, MetricsSnapshotOrderIsInsertionOrderInvariant) {

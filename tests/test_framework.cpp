@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <thread>
+
 #include "cdsf/framework.hpp"
 #include "cdsf/paper_example.hpp"
+#include "obs/metrics.hpp"
 
 namespace cdsf::core {
 namespace {
@@ -185,6 +189,39 @@ TEST(Framework, ConstructionValidation) {
   const sysmodel::Platform wrong({{"only", 4}});
   EXPECT_THROW(Framework(example.batch, wrong, example.cases.front(), 100.0),
                std::invalid_argument);
+}
+
+TEST(Framework, StageOnePhi1IsObservedOncePerAllocationUnderConcurrentSolves) {
+  // Two frameworks whose Stage I allocations differ in phi_1 run Stage I on
+  // two threads at once: the metric must keep both values, not whichever
+  // thread finished last.
+  const PaperExample example = make_paper_example();
+  const Framework tight(example.batch, example.platform, example.cases.front(),
+                        example.deadline);
+  const Framework loose(example.batch, example.platform, example.cases.front(),
+                        2.0 * example.deadline);
+  const double phi_tight = tight.run_stage_one(ra::ExhaustiveOptimal()).phi1;
+  const double phi_loose = loose.run_stage_one(ra::ExhaustiveOptimal()).phi1;
+  ASSERT_NE(phi_tight, phi_loose);
+
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
+  const bool was_enabled = metrics.enabled();
+  for (int repeat = 0; repeat < 10; ++repeat) {
+    metrics.reset();
+    metrics.set_enabled(true);
+    std::thread other([&loose] { (void)loose.run_stage_one(ra::ExhaustiveOptimal()); });
+    (void)tight.run_stage_one(ra::ExhaustiveOptimal());
+    other.join();
+    metrics.set_enabled(false);
+    const obs::MetricsSnapshot snapshot = metrics.snapshot();
+    const auto phi1 = snapshot.histograms.find("cdsf.stage1.phi1");
+    ASSERT_NE(phi1, snapshot.histograms.end()) << "repeat " << repeat;
+    EXPECT_EQ(phi1->second.count, 2u) << "repeat " << repeat;
+    EXPECT_EQ(phi1->second.min, std::min(phi_tight, phi_loose)) << "repeat " << repeat;
+    EXPECT_EQ(phi1->second.max, std::max(phi_tight, phi_loose)) << "repeat " << repeat;
+  }
+  metrics.reset();
+  metrics.set_enabled(was_enabled);
 }
 
 }  // namespace

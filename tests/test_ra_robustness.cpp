@@ -4,8 +4,10 @@
 #include <cstdint>
 
 #include "cdsf/paper_example.hpp"
+#include "obs/profile.hpp"
 #include "ra/robustness.hpp"
 #include "test_support.hpp"
+#include "util/cancel.hpp"
 
 namespace cdsf::ra {
 namespace {
@@ -151,6 +153,83 @@ TEST(RobustnessEvaluator, CacheKeepsTypesApartAtMillionProcessorGroups) {
             fresh.application_probability(0, {1, kProcessors}));
   EXPECT_EQ(warmed.expected_completion(0, {1, kProcessors}),
             fresh.expected_completion(0, {1, kProcessors}));
+}
+
+TEST(RobustnessEvaluator, PrecomputeMatchesLazyQueriesBitForBitAtAnyThreadCount) {
+  // 64 availability levels: every completion PMF compacts (64 x 64 > 2048).
+  const auto example = make_paper_example();
+  const sysmodel::AvailabilitySpec availability =
+      test::leveled_availability(example.platform.type_count(), 64);
+  const RobustnessEvaluator lazy(example.batch, availability, example.deadline);
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (const std::size_t threads : {1u, 2u, 3u, 8u}) {
+    const RobustnessEvaluator table(example.batch, availability, example.deadline);
+    table.precompute(example.platform, CountRule::kPowerOfTwo, threads);
+    std::size_t keys = 0;
+    for (std::size_t app = 0; app < example.batch.size(); ++app) {
+      for (std::size_t type = 0; type < example.platform.type_count(); ++type) {
+        for (const std::size_t n : candidate_counts(example.platform.processors_of_type(type),
+                                                    CountRule::kPowerOfTwo)) {
+          const GroupAssignment group{type, n};
+          const pmf::Pmf& expected = lazy.completion_pmf(app, group);
+          const pmf::Pmf& built = table.completion_pmf(app, group);
+          ASSERT_EQ(expected.size(), RobustnessConfig{}.max_pulses);
+          ASSERT_EQ(built.size(), expected.size());
+          for (std::size_t i = 0; i < expected.size(); ++i) {
+            ASSERT_EQ(bits(built.value(i)), bits(expected.value(i)))
+                << "threads=" << threads << " app=" << app << " type=" << type << " n=" << n;
+            ASSERT_EQ(bits(built.probability(i)), bits(expected.probability(i)))
+                << "threads=" << threads << " app=" << app << " type=" << type << " n=" << n;
+          }
+          EXPECT_EQ(bits(table.application_probability(app, group)),
+                    bits(lazy.application_probability(app, group)));
+          EXPECT_EQ(bits(table.expected_completion(app, group)),
+                    bits(lazy.expected_completion(app, group)));
+          ++keys;
+        }
+      }
+    }
+    EXPECT_EQ(keys, 21u);  // 3 applications x (3 + 4) candidate counts
+  }
+}
+
+TEST(RobustnessEvaluator, SecondPrecomputeComputesNothing) {
+  const auto example = make_paper_example();
+  const sysmodel::AvailabilitySpec availability =
+      test::leveled_availability(example.platform.type_count(), 64);
+  const RobustnessEvaluator evaluator(example.batch, availability, example.deadline);
+  obs::PhaseProfiler& profiler = obs::PhaseProfiler::global();
+  profiler.reset();
+  profiler.set_enabled(true);
+  evaluator.precompute(example.platform, CountRule::kPowerOfTwo, 4);
+  const std::int64_t built = profiler.calls(obs::Phase::kPmfConvolution);
+  const pmf::Pmf* first = &evaluator.completion_pmf(2, {1, 8});
+  evaluator.precompute(example.platform, CountRule::kPowerOfTwo, 4);
+  const std::int64_t rebuilt = profiler.calls(obs::Phase::kPmfConvolution);
+  profiler.set_enabled(false);
+  profiler.reset();
+  EXPECT_EQ(built, 21);  // one availability combine per completion
+  EXPECT_EQ(rebuilt, built);
+  EXPECT_EQ(&evaluator.completion_pmf(2, {1, 8}), first);
+}
+
+TEST(RobustnessEvaluator, PrecomputeHonoursCancellationAndValidatesThePlatform) {
+  const auto example = make_paper_example();
+  util::CancelToken token;
+  token.cancel();
+  RobustnessConfig config;
+  config.cancel = token.flag();
+  const RobustnessEvaluator evaluator(example.batch, example.cases.front(), example.deadline,
+                                      config);
+  for (const std::size_t threads : {1u, 4u}) {
+    EXPECT_THROW(evaluator.precompute(example.platform, CountRule::kPowerOfTwo, threads),
+                 util::Cancelled)
+        << "threads=" << threads;
+  }
+  token.reset();
+  const sysmodel::Platform three_types({{"a", 1}, {"b", 1}, {"c", 1}});
+  EXPECT_THROW(evaluator.precompute(three_types, CountRule::kPowerOfTwo, 1),
+               std::invalid_argument);
 }
 
 TEST(RobustnessEvaluator, TightDeadlineGivesZeroLooseGivesOne) {

@@ -1,6 +1,9 @@
 // Shared factories for the test suite.
 #pragma once
 
+#include <string>
+#include <vector>
+
 #include "pmf/pmf.hpp"
 #include "sysmodel/availability.hpp"
 #include "sysmodel/platform.hpp"
@@ -17,6 +20,23 @@ inline sysmodel::Platform small_platform() {
 inline sysmodel::AvailabilitySpec full_availability(std::size_t types) {
   std::vector<pmf::Pmf> laws(types, pmf::Pmf::delta(1.0));
   return sysmodel::AvailabilitySpec("full", std::move(laws));
+}
+
+/// A spec whose every type has `levels` equally likely availability levels
+/// in (0.3, 1], scaled down 5% per type index so the types differ. Under the
+/// default 64 discretization pulses, 64 levels give 4096-pulse completion
+/// PMFs, which the robustness evaluator compacts to its 2048-pulse budget.
+inline sysmodel::AvailabilitySpec leveled_availability(std::size_t types, std::size_t levels) {
+  std::vector<pmf::Pmf> laws;
+  for (std::size_t type = 0; type < types; ++type) {
+    std::vector<double> values;
+    for (std::size_t k = 1; k <= levels; ++k) {
+      values.push_back((0.3 + 0.7 * static_cast<double>(k) / static_cast<double>(levels)) *
+                       (1.0 - 0.05 * static_cast<double>(type)));
+    }
+    laws.push_back(pmf::Pmf::uniform_over(values));
+  }
+  return sysmodel::AvailabilitySpec("leveled" + std::to_string(levels), std::move(laws));
 }
 
 /// One application: 10% serial, Normal time laws with means per type.
