@@ -464,8 +464,9 @@ ServiceRunResult SchedulingService::run(std::vector<ScenarioRequest> requests) {
   // index — byte-identical across solve_threads (each index independent,
   // own Framework, fixed seed).
   std::vector<obs::Json> documents(delivery.size());
-  // Phase B's fan-out and each solve's Stage II grid share the CPUs; the
-  // fan-out is at most the delivered count.
+  // Phase B's fan-out and each solve's threads (Stage I's completion table,
+  // then the Stage II grid) share the CPUs; the fan-out is at most the
+  // delivered count.
   const std::size_t fanout = std::max<std::size_t>(
       1, std::min(config_.solve_threads, delivery.size()));
   const std::size_t grid_threads =
