@@ -28,9 +28,10 @@ bool Engine::cancel(EventId id) {
   return cancelled_.insert(id).second;
 }
 
-std::uint64_t Engine::run(std::uint64_t max_events) {
+std::uint64_t Engine::run_until(double horizon, std::uint64_t max_events) {
+  if (std::isnan(horizon)) throw std::invalid_argument("Engine::run_until: horizon is NaN");
   std::uint64_t dispatched = 0;
-  while (!queue_.empty()) {
+  while (!queue_.empty() && queue_.top().time <= horizon) {
     if (dispatched >= max_events) {
       throw std::runtime_error("Engine::run: event budget exhausted (runaway simulation?)");
     }

@@ -1,13 +1,15 @@
 // Minimal discrete-event simulation core: a time-ordered event queue with
 // deterministic FIFO tie-breaking and a run loop.
 //
-// The loop executor (src/sim/loop_executor.hpp) is built on this engine;
-// the engine itself is application-agnostic and reusable for other
-// scheduling studies.
+// The loop executor (src/sim/loop_executor.hpp) and the scheduling
+// service's Phase A (src/svc/service.cpp) are built on this engine; the
+// engine itself is application-agnostic and reusable for other scheduling
+// studies.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <queue>
 #include <unordered_set>
 #include <vector>
@@ -42,13 +44,21 @@ class Engine {
   /// tombstone in the cancellation set for the rest of the run.
   bool cancel(EventId id);
 
-  /// Runs until the queue drains or `max_events` events were dispatched.
-  /// Returns the number of events dispatched. Throws std::runtime_error if
-  /// the event budget is exhausted with events still pending (runaway
-  /// simulation guard).
-  std::uint64_t run(std::uint64_t max_events = kDefaultMaxEvents);
+  /// Dispatches every event at or before `horizon`, including ones that
+  /// handlers schedule at or before it, and leaves later events pending for
+  /// a later call. Returns the number of events dispatched. Throws
+  /// std::invalid_argument on a NaN horizon, and std::runtime_error if
+  /// `max_events` events were dispatched with events at or before the
+  /// horizon still pending (runaway simulation guard).
+  std::uint64_t run_until(double horizon, std::uint64_t max_events = kDefaultMaxEvents);
 
-  /// Current simulation time (the timestamp of the last dispatched event).
+  /// Runs until the queue drains: run_until with an infinite horizon.
+  std::uint64_t run(std::uint64_t max_events = kDefaultMaxEvents) {
+    return run_until(std::numeric_limits<double>::infinity(), max_events);
+  }
+
+  /// Current simulation time (the timestamp of the last dispatched event;
+  /// run_until does not advance it to the horizon).
   [[nodiscard]] double now() const noexcept { return now_; }
 
   /// Number of events waiting in the queue.

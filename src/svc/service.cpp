@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <deque>
 #include <limits>
-#include <queue>
 #include <stdexcept>
 #include <unordered_set>
 #include <utility>
@@ -14,7 +13,7 @@
 #include "cdsf/solve.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
-#include "svc/virtual_time.hpp"
+#include "sim/engine.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -29,21 +28,16 @@ std::string digest_hex(std::uint64_t digest) {
   return buffer;
 }
 
-enum class EventKind : std::uint8_t { kArrival, kAttemptEnd, kHedgeTimer };
-
-struct Event {
-  double time = 0.0;
-  std::uint64_t seq = 0;  // push order: the deterministic tiebreak
-  EventKind kind = EventKind::kArrival;
-  std::uint64_t payload = 0;  // request index (arrival/hedge) or token (end)
-};
-
-struct EventLater {
-  bool operator()(const Event& a, const Event& b) const noexcept {
-    if (a.time != b.time) return a.time > b.time;
-    return a.seq > b.seq;
+/// A feasible-space count as JSON. obs::Json's integral constructor casts
+/// to int64 (the journal relies on that wrap to round-trip 64-bit seeds),
+/// so a count above INT64_MAX is written as a double instead of going
+/// negative.
+obs::Json count_json(std::size_t count) {
+  if (count > static_cast<std::size_t>(std::numeric_limits<std::int64_t>::max())) {
+    return obs::Json(static_cast<double>(count));
   }
-};
+  return obs::Json(count);
+}
 
 struct QueuedAttempt {
   std::size_t request = 0;
@@ -77,7 +71,9 @@ struct Live {
   std::vector<std::uint64_t> active_tokens;  // running attempts
 };
 
-/// Phase A: the serial virtual-time event loop (see service.hpp).
+/// Phase A: the serial virtual-time event loop (see service.hpp). Events
+/// run on a sim::Engine, whose FIFO tie-break is the order they were
+/// scheduled in; its clock is the service's clock.
 class EventLoop {
  public:
   EventLoop(const ServiceConfig& config, std::vector<ScenarioRequest>& inputs,
@@ -102,44 +98,26 @@ class EventLoop {
       return inputs_[a].id < inputs_[b].id;
     });
     for (const std::size_t index : order) {
-      push_event(inputs_[index].arrival, EventKind::kArrival, index);
+      engine_.schedule_at(inputs_[index].arrival, [this, index] { on_arrival(index); });
     }
-    while (!events_.empty()) {
-      const Event event = events_.top();
-      events_.pop();
-      if (config_.crash_at >= 0.0 && event.time > config_.crash_at) {
-        result_.crashed = true;
-        result_.crash_time = config_.crash_at;
-        break;
-      }
-      clock_.advance_to(event.time);
-      switch (event.kind) {
-        case EventKind::kArrival:
-          on_arrival(static_cast<std::size_t>(event.payload), event.time);
-          break;
-        case EventKind::kAttemptEnd:
-          on_attempt_end(event.payload, event.time);
-          break;
-        case EventKind::kHedgeTimer:
-          on_hedge_timer(static_cast<std::size_t>(event.payload), event.time);
-          break;
-      }
-    }
-    if (!result_.crashed) {
+    // The crash cut-off: events strictly after crash_at never run.
+    engine_.run_until(config_.crash_at >= 0.0 ? config_.crash_at
+                                              : std::numeric_limits<double>::infinity());
+    if (engine_.pending() > 0) {
+      result_.crashed = true;
+      result_.crash_time = config_.crash_at;
+    } else {
       result_.drained = true;
-      result_.drain_time = clock_.now();
-      flight_.record(obs::FlightEventKind::kDrainComplete, clock_.now(),
+      result_.drain_time = engine_.now();
+      flight_.record(obs::FlightEventKind::kDrainComplete, engine_.now(),
                      obs::kFlightMasterTrack, static_cast<std::int64_t>(delivery_.size()), 0);
     }
     return delivery_;
   }
 
  private:
-  void push_event(double time, EventKind kind, std::uint64_t payload) {
-    events_.push(Event{time, next_seq_++, kind, payload});
-  }
-
-  void on_arrival(std::size_t index, double t) {
+  void on_arrival(std::size_t index) {
+    const double t = engine_.now();
     const ScenarioRequest& request = inputs_[index];
     RequestRecord& record = result_.requests[index];
     ++result_.admission.arrivals;
@@ -228,9 +206,10 @@ class EventLoop {
       running_.push_back(RunningAttempt{next.request, next.attempt, s, t, will_timeout});
       live.active_tokens.push_back(token);
       shard.busy = true;
-      push_event(end, EventKind::kAttemptEnd, token);
+      engine_.schedule_at(end, [this, token] { on_attempt_end(token); });
       if (next.attempt == 0 && shards_.size() > 1) {
-        push_event(t + hedge_delay(), EventKind::kHedgeTimer, next.request);
+        engine_.schedule_at(t + hedge_delay(),
+                            [this, index = next.request] { on_hedge_timer(index); });
       }
     }
   }
@@ -259,7 +238,8 @@ class EventLoop {
     return std::max(config_.hedge_min_delay, config_.hedge_multiplier * p99);
   }
 
-  void on_attempt_end(std::uint64_t token, double t) {
+  void on_attempt_end(std::uint64_t token) {
+    const double t = engine_.now();
     RunningAttempt& attempt = running_[token - 1];
     if (attempt.cancelled) return;  // its shard was freed at cancel time
     attempt.finished = true;
@@ -336,7 +316,8 @@ class EventLoop {
     live.active_tokens.clear();
   }
 
-  void on_hedge_timer(std::size_t index, double t) {
+  void on_hedge_timer(std::size_t index) {
+    const double t = engine_.now();
     Live& live = lives_[index];
     // Hedge only the clean path: the primary attempt still running, no
     // strikes (the retry path owns struck requests), not already hedged.
@@ -363,9 +344,7 @@ class EventLoop {
   RequestJournal& journal_;
   obs::FlightRecorder& flight_;
   util::SeedSequence seeds_;
-  VirtualClock clock_;
-  std::priority_queue<Event, std::vector<Event>, EventLater> events_;
-  std::uint64_t next_seq_ = 0;
+  sim::Engine engine_;
   std::vector<Live> lives_;
   std::vector<Shard> shards_;
   std::vector<RunningAttempt> running_;
@@ -386,7 +365,7 @@ obs::Json request_report_json(const RequestRecord& record) {
   if (record.outcome == RequestOutcome::kCompleted) {
     doc.set("rho1", record.rho1);
     doc.set("rho2", record.rho2);
-    doc.set("feasible_space", record.feasible_space);
+    doc.set("feasible_space", count_json(record.feasible_space));
     doc.set("all_meet_deadline", record.all_meet_deadline);
   } else {
     doc.set("error", record.error);
@@ -404,17 +383,20 @@ void ServiceConfig::validate() const {
   if (replications == 0) {
     throw std::invalid_argument("ServiceConfig: replications must be >= 1");
   }
-  if (!(watchdog_timeout > 0.0)) {
-    throw std::invalid_argument("ServiceConfig: watchdog_timeout must be > 0");
+  // Every event time is finite (sim::Engine rejects the rest), so the
+  // knobs that place attempt ends and hedge timers must be too.
+  if (!(watchdog_timeout > 0.0) || !std::isfinite(watchdog_timeout)) {
+    throw std::invalid_argument("ServiceConfig: watchdog_timeout must be > 0 and finite");
   }
-  if (!(hedge_multiplier > 0.0) || hedge_min_delay < 0.0) {
-    throw std::invalid_argument("ServiceConfig: hedge knobs must be positive");
+  if (!(hedge_multiplier > 0.0) || hedge_min_delay < 0.0 || !std::isfinite(hedge_multiplier) ||
+      !std::isfinite(hedge_min_delay)) {
+    throw std::invalid_argument("ServiceConfig: hedge knobs must be positive and finite");
   }
   if (poison_strikes == 0) {
     throw std::invalid_argument("ServiceConfig: poison_strikes must be >= 1");
   }
-  if (!(mean_solve_time > 0.0) || solve_time_cov < 0.0) {
-    throw std::invalid_argument("ServiceConfig: solve-time model must be positive");
+  if (!(mean_solve_time > 0.0) || solve_time_cov < 0.0 || !std::isfinite(mean_solve_time)) {
+    throw std::invalid_argument("ServiceConfig: solve-time model must be positive and finite");
   }
   if (hang_fraction < 0.0 || hang_fraction > 1.0) {
     throw std::invalid_argument("ServiceConfig: hang_fraction must be in [0, 1]");
@@ -598,7 +580,7 @@ obs::Json service_report_json(const ServiceRunResult& result, const ServiceConfi
     if (record.outcome == RequestOutcome::kCompleted) {
       entry.set("rho1", record.rho1);
       entry.set("rho2", record.rho2);
-      entry.set("feasible_space", record.feasible_space);
+      entry.set("feasible_space", count_json(record.feasible_space));
       entry.set("all_meet_deadline", record.all_meet_deadline);
     } else if (!record.error.empty()) {
       entry.set("error", record.error);

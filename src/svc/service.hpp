@@ -10,8 +10,9 @@
 //
 // Determinism is the load-bearing design decision. A run is TWO phases:
 //
-//   Phase A — a serial event loop on virtual time (svc/virtual_time.hpp).
-//   Arrivals, admission, shard queueing, solve durations (drawn from a
+//   Phase A — a serial event loop on virtual time: a sim::Engine, whose
+//   clock is the service's only clock (never the host's). Arrivals,
+//   admission, shard queueing, solve durations (drawn from a
 //   per-(seed, id, attempt) RNG — an injected hang is an infinite draw),
 //   watchdog firings, hedge launches, first-finisher-wins races, poison
 //   strikes, the crash cutoff, and the drain all play out here, serially,
@@ -29,8 +30,9 @@
 //   not thread-safe) and a fixed seed, so reports are byte-identical
 //   across ANY solve_threads value — the property the chaos axis checks.
 //
-// Crash safety: `crash_at` stops the event loop at a virtual instant.
-// Admitted-but-unterminated requests stay accepted-only in the journal;
+// Crash safety: `crash_at` is the engine's horizon (Engine::run_until):
+// events at or before it run, later ones never do. Admitted-but-
+// unterminated requests stay accepted-only in the journal;
 // load_journal(...).unfinished() is the exactly-once replay set a
 // restarted service re-enters via run(). Completed records carry an
 // FNV-1a digest of the delivered report bytes.
@@ -59,7 +61,7 @@ struct ServiceConfig {
   /// Stage II replications per solve (core::SolveOptions::replications).
   std::size_t replications = 11;
   /// Watchdog: virtual seconds an attempt may run before it is cancelled
-  /// and counted as a strike.
+  /// and counted as a strike. Finite, like every knob that places an event.
   double watchdog_timeout = 60.0;
   /// Hedge delay = max(hedge_min_delay, hedge_multiplier * p99 of
   /// completed solve durations observed so far); before `hedge_warmup`
@@ -161,7 +163,8 @@ class SchedulingService {
 
   /// Runs the stream to drain (or to crash_at). `requests` need not be
   /// sorted; replayed requests (replayed == true) are not re-journaled.
-  /// Throws std::invalid_argument on duplicate request ids.
+  /// Throws std::invalid_argument on duplicate request ids and on an
+  /// arrival that is negative or not finite.
   [[nodiscard]] ServiceRunResult run(std::vector<ScenarioRequest> requests);
 
   /// The Phase B cancellation token: cancelling it makes every real

@@ -4,6 +4,7 @@
 // and the cooperative-cancellation hooks the watchdog is built on.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -274,6 +275,9 @@ TEST(Service, CrashJournalRestartReplaysExactlyOnce) {
   EXPECT_TRUE(crashed.crashed);
   EXPECT_FALSE(crashed.drained);
   EXPECT_DOUBLE_EQ(crashed.crash_time, config.crash_at);
+  // The cut-off is inclusive: the arrival at crash_at runs, the next does not.
+  EXPECT_NE(record_for(crashed, stream[2].id).outcome, RequestOutcome::kNotArrived);
+  EXPECT_EQ(record_for(crashed, stream[3].id).outcome, RequestOutcome::kNotArrived);
 
   const RecoveredJournal recovered = load_journal(path);
   EXPECT_TRUE(recovered.header_ok);
@@ -321,6 +325,12 @@ TEST(Service, DuplicateRequestIdsAreRejectedLoudly) {
   stream[1].id = stream[0].id;
   EXPECT_THROW((void)SchedulingService(fast_config(31)).run(stream),
                std::invalid_argument);
+}
+
+TEST(Service, NegativeArrivalIsRejected) {
+  auto stream = healthy_stream(2, 31);
+  stream[0].arrival = -1.0;
+  EXPECT_THROW((void)SchedulingService(fast_config(31)).run(stream), std::invalid_argument);
 }
 
 TEST(Service, PreCancelledTokenFailsEverySolveGracefully) {
@@ -382,6 +392,19 @@ TEST(ServiceReport, ExcludesThreadAndJournalKnobsFromConfigEcho) {
   EXPECT_EQ(echo.find("journal_path"), nullptr);
   EXPECT_EQ(echo.at("shards").as_int(), static_cast<std::int64_t>(config.shards));
   std::remove(config.journal_path.c_str());
+}
+
+TEST(ServiceReport, FeasibleSpaceAboveInt64MaxIsWrittenPositive) {
+  ServiceRunResult result;
+  result.requests.resize(2);
+  for (RequestRecord& record : result.requests) record.outcome = RequestOutcome::kCompleted;
+  result.requests[0].feasible_space = 278236;
+  result.requests[1].feasible_space = SIZE_MAX;
+  const obs::Json report = service_report_json(result, fast_config(43));
+  const auto& entries = report.at("requests").items();
+  EXPECT_EQ(entries[0].at("feasible_space").as_int(), 278236);
+  EXPECT_DOUBLE_EQ(entries[1].at("feasible_space").as_double(),
+                   static_cast<double>(SIZE_MAX));
 }
 
 }  // namespace

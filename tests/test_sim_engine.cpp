@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -72,6 +74,29 @@ TEST(Engine, PendingCount) {
   EXPECT_EQ(engine.pending(), 2u);
   engine.run();
   EXPECT_EQ(engine.pending(), 0u);
+}
+
+TEST(Engine, RunUntilDispatchesThroughTheHorizonAndLeavesLaterEventsPending) {
+  Engine engine;
+  std::vector<int> order;
+  engine.schedule_at(1.0, [&] {
+    order.push_back(1);
+    engine.schedule_at(2.0, [&] { order.push_back(3); });  // lands on the horizon
+  });
+  engine.schedule_at(2.0, [&] {
+    order.push_back(2);
+    engine.schedule_at(2.0, [&] { order.push_back(4); });  // scheduled while it is reached
+  });
+  engine.schedule_at(2.5, [&] { order.push_back(5); });
+  EXPECT_EQ(engine.run_until(2.0), 4u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(engine.pending(), 1u);
+  EXPECT_DOUBLE_EQ(engine.now(), 2.0);  // the last dispatched event, not the horizon
+  EXPECT_EQ(engine.run(), 1u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+  EXPECT_DOUBLE_EQ(engine.now(), 2.5);
+  EXPECT_THROW(engine.run_until(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
 }
 
 TEST(Engine, EmptyRunReturnsZero) {
