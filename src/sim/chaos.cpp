@@ -513,15 +513,7 @@ void check_run(const RunResult& run, std::int64_t parallel, std::size_t schedule
     }
   }
 
-  partial.faults.workers_crashed += faults.workers_crashed;
-  partial.faults.workers_recovered += faults.workers_recovered;
-  partial.faults.chunks_lost += faults.chunks_lost;
-  partial.faults.iterations_reexecuted += faults.iterations_reexecuted;
-  partial.faults.wasted_work += faults.wasted_work;
-  partial.faults.detection_latency_total += faults.detection_latency_total;
-  partial.faults.max_detection_latency =
-      std::max(partial.faults.max_detection_latency, faults.max_detection_latency);
-  partial.faults.false_suspicions += faults.false_suspicions;
+  partial.faults.accumulate(faults);
   partial.speculation.accumulate(spec);
   partial.channel.accumulate(chan);
   partial.checkpoint.accumulate(ckpt);
@@ -731,15 +723,7 @@ ChaosReport run_chaos_campaign(const ChaosConfig& config) {
     for (const ChaosViolation& violation : partial.violations) {
       report.violations.push_back(violation);
     }
-    report.faults_total.workers_crashed += partial.faults.workers_crashed;
-    report.faults_total.workers_recovered += partial.faults.workers_recovered;
-    report.faults_total.chunks_lost += partial.faults.chunks_lost;
-    report.faults_total.iterations_reexecuted += partial.faults.iterations_reexecuted;
-    report.faults_total.wasted_work += partial.faults.wasted_work;
-    report.faults_total.detection_latency_total += partial.faults.detection_latency_total;
-    report.faults_total.max_detection_latency = std::max(
-        report.faults_total.max_detection_latency, partial.faults.max_detection_latency);
-    report.faults_total.false_suspicions += partial.faults.false_suspicions;
+    report.faults_total.accumulate(partial.faults);
     report.speculation_total.accumulate(partial.speculation);
     report.channel_total.accumulate(partial.channel);
     report.checkpoint_total.accumulate(partial.checkpoint);
