@@ -24,25 +24,29 @@ bool diagnostic_order(const Diagnostic& a, const Diagnostic& b) {
   return a.message < b.message;
 }
 
-/// Suppression ids the engine accepts: every rule id plus every pass id.
-/// Pass ids are always "known", even when the pass is not selected for this
-/// run — an allow(include-layering) must not trip unknown-suppression just
-/// because a per-file invocation skipped the project passes.
-std::set<std::string, std::less<>> known_suppression_ids(
-    const std::vector<std::unique_ptr<Rule>>& rules) {
-  std::set<std::string, std::less<>> known;
-  for (const auto& rule : rules) known.emplace(rule->id());
+using IdSet = std::set<std::string, std::less<>>;
+
+/// Suppression ids the engine accepts: every finding id plus every pass id.
+/// Ids are always "known", even when the pass emitting them is not selected
+/// for this run — an allow(include-layering) must not trip
+/// unknown-suppression just because a per-file invocation skipped the
+/// project passes.
+IdSet known_suppression_ids() {
+  IdSet known;
+  for (const FindingId& finding : finding_ids()) known.emplace(finding.id);
   for (const std::string& pass : all_pass_ids()) known.insert(pass);
   return known;
 }
 
-/// Routes `found` diagnostics into violations/suppressed using the
-/// suppression tables of the scanned files. Diagnostics anchored at files
-/// outside the scan set (registry/doc files) cannot be suppressed.
+/// Routes the `found` diagnostics whose id `keep` names (all when it is
+/// empty) into violations/suppressed using the suppression tables of the
+/// scanned files. Diagnostics anchored at files outside the scan set
+/// (registry/doc files) cannot be suppressed.
 void route_diagnostics(std::vector<Diagnostic> found,
                        const std::map<std::string, const SourceFile*, std::less<>>& by_path,
-                       LintResult& result, PassSummary& summary) {
+                       const IdSet& keep, LintResult& result, PassSummary& summary) {
   for (Diagnostic& diagnostic : found) {
+    if (!keep.empty() && keep.count(diagnostic.rule) == 0) continue;
     const auto it = by_path.find(diagnostic.file);
     if (it != by_path.end() && it->second->suppressed(diagnostic.rule, diagnostic.line)) {
       diagnostic.suppressed = true;
@@ -55,9 +59,9 @@ void route_diagnostics(std::vector<Diagnostic> found,
   }
 }
 
-void check_unknown_suppressions(const std::vector<SourceFile>& files,
-                                const std::set<std::string, std::less<>>& known,
-                                LintResult& result, PassSummary& rules_summary) {
+void check_unknown_suppressions(const std::vector<SourceFile>& files, LintResult& result,
+                                PassSummary& rules_summary) {
+  const IdSet known = known_suppression_ids();
   for (const SourceFile& file : files) {
     // A marker naming a rule nobody registered is a typo that would
     // otherwise rot silently once the rule it meant is renamed.
@@ -73,16 +77,16 @@ void check_unknown_suppressions(const std::vector<SourceFile>& files,
 }
 
 void run_rules_pass(const std::vector<SourceFile>& files,
-                    const std::vector<std::unique_ptr<Rule>>& rules,
                     const std::map<std::string, const SourceFile*, std::less<>>& by_path,
-                    LintResult& result, PassSummary& summary) {
+                    const IdSet& keep, LintResult& result, PassSummary& summary) {
   summary.ran = true;
+  const std::vector<std::unique_ptr<Rule>> rules = default_rules();
   for (const SourceFile& file : files) {
     std::vector<Diagnostic> found;
     for (const auto& rule : rules) rule->check(file, found);
     for (Diagnostic& diagnostic : found) diagnostic.pass = kRulesPass;
     std::sort(found.begin(), found.end(), diagnostic_order);
-    route_diagnostics(std::move(found), by_path, result, summary);
+    route_diagnostics(std::move(found), by_path, keep, result, summary);
   }
 }
 
@@ -94,16 +98,37 @@ const std::vector<std::string>& all_pass_ids() {
   return kPasses;
 }
 
-LintResult run_rules(const std::vector<SourceFile>& files,
-                     const std::vector<std::unique_ptr<Rule>>& rules) {
-  ProjectOptions options;
-  options.passes = {kRulesPass};
-  return run_project(files, rules, options);
+const std::vector<FindingId>& finding_ids() {
+  static const std::vector<FindingId> kIds = {
+      {kRngSourceId, kTaintPass,
+       "raw C/std random sources outside util/rng.hpp break single-seed reproducibility"},
+      {kWallClockId, kTaintPass,
+       "wall/monotonic clock reads in sim/, dls/, cdsf/, svc/ make deterministic paths "
+       "time-dependent"},
+      {"unordered-iteration", kRulesPass,
+       "iterating an unordered container yields nondeterministic order in "
+       "reports/traces/reductions"},
+      {"bare-mutex-lock", kRulesPass,
+       "bare lock()/unlock() calls leak on exceptions; use std::scoped_lock / lock_guard"},
+      {"report-schema-tag", kRulesPass,
+       "every Json make_*report() in src/obs/ must stamp a \"schema\" key on its document"},
+      {kMetricNameId, kRegistryPass,
+       "registry metric name literals must match ^(sim|cdsf|obs)\\.[a-z0-9_.]+$ so "
+       "exported series group by subsystem"},
+  };
+  return kIds;
 }
 
-LintResult run_project(const std::vector<SourceFile>& files,
-                       const std::vector<std::unique_ptr<Rule>>& rules,
-                       const ProjectOptions& options) {
+LintResult run_project(const std::vector<SourceFile>& files, const ProjectOptions& options) {
+  IdSet keep;
+  for (const std::string& id : options.rules) {
+    if (std::none_of(finding_ids().begin(), finding_ids().end(),
+                     [&](const FindingId& finding) { return finding.id == id; })) {
+      throw std::runtime_error("unknown rule '" + id + "' (see --list-rules)");
+    }
+    keep.insert(id);
+  }
+
   // Resolve the pass selection.
   std::set<std::string, std::less<>> selected;
   if (!options.passes.empty()) {
@@ -153,7 +178,7 @@ LintResult run_project(const std::vector<SourceFile>& files,
       continue;
     }
     if (pass == kRulesPass) {
-      run_rules_pass(files, rules, by_path, result, summary);
+      run_rules_pass(files, by_path, keep, result, summary);
     } else if (pass == kLayeringPass) {
       summary.ran = true;
       const LayeringManifest manifest = LayeringManifest::load(options.layering_path);
@@ -161,20 +186,20 @@ LintResult run_project(const std::vector<SourceFile>& files,
       summary.notes = std::move(layering.notes);
       summary.notes.push_back(std::to_string(layering.edges_checked) +
                               " in-tree include edge(s) checked");
-      route_diagnostics(std::move(layering.diagnostics), by_path, result, summary);
+      route_diagnostics(std::move(layering.diagnostics), by_path, keep, result, summary);
       if (options.want_dot) result.layering_dot = layering_dot(index, manifest);
     } else if (pass == kLockOrderPass) {
       summary.ran = true;
       LockOrderResult locks = check_lock_order(index);
       summary.notes.push_back(std::to_string(locks.sites) + " guard site(s), " +
                               std::to_string(locks.edges) + " ordering edge(s)");
-      route_diagnostics(std::move(locks.diagnostics), by_path, result, summary);
+      route_diagnostics(std::move(locks.diagnostics), by_path, keep, result, summary);
     } else if (pass == kTaintPass) {
       summary.ran = true;
       TaintResult taint = check_determinism_taint(index);
       summary.notes.push_back(std::to_string(taint.seeds) + " seed function(s), " +
                               std::to_string(taint.tainted) + " tainted function(s)");
-      route_diagnostics(std::move(taint.diagnostics), by_path, result, summary);
+      route_diagnostics(std::move(taint.diagnostics), by_path, keep, result, summary);
     } else if (pass == kRegistryPass) {
       summary.ran = true;
       const RegistryInput input =
@@ -183,14 +208,14 @@ LintResult run_project(const std::vector<SourceFile>& files,
       summary.notes.push_back(std::to_string(registry.code_schemas) + " schema tag(s), " +
                               std::to_string(registry.code_metrics) +
                               " metric name(s) emitted by code");
-      route_diagnostics(std::move(registry.diagnostics), by_path, result, summary);
+      route_diagnostics(std::move(registry.diagnostics), by_path, keep, result, summary);
     }
     result.passes.push_back(std::move(summary));
   }
 
-  // Unknown-suppression markers are validated once, against every id.
-  check_unknown_suppressions(files, known_suppression_ids(rules), result,
-                             result.passes.front());
+  // Unknown-suppression markers are validated once, against every id; a
+  // --rule selection keeps only the ids it names, so it drops them too.
+  if (keep.empty()) check_unknown_suppressions(files, result, result.passes.front());
 
   std::sort(result.violations.begin(), result.violations.end(), diagnostic_order);
   std::sort(result.suppressed.begin(), result.suppressed.end(), diagnostic_order);

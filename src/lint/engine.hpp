@@ -3,6 +3,11 @@
 // SourceFiles, applies suppressions, validates suppression markers, and
 // renders text / JSON reports.
 //
+// A finding carries an id: a pass's own findings carry the pass id, and the
+// lexical ids of finding_ids() are each emitted by one pass — the rules
+// pass's three rules, determinism-taint's rng-source and wall-clock, and
+// registry-sync's metric-name.
+//
 // Exit-code contract (shared with the cdsf_lint CLI and the fixture tests):
 //   0 — clean (suppressed findings allowed)
 //   1 — at least one active violation
@@ -10,8 +15,8 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "lint/rules.hpp"
@@ -30,6 +35,18 @@ inline constexpr const char* kRulesPass = "rules";
 /// All pass ids in stable execution order.
 [[nodiscard]] const std::vector<std::string>& all_pass_ids();
 
+/// One lexical finding id, the pass that emits it, and a one-line summary.
+struct FindingId {
+  std::string_view id;
+  std::string_view pass;
+  std::string_view summary;
+};
+
+/// The lexical finding ids in stable order: the one list that --rule,
+/// --list-rules and the unknown-suppression check read (the check also
+/// accepts every pass id).
+[[nodiscard]] const std::vector<FindingId>& finding_ids();
+
 /// One per-pass block of the report.
 struct PassSummary {
   std::string name;
@@ -46,6 +63,10 @@ struct ProjectOptions {
   /// when `layering_path` is set and registry-sync when `registry_path` or
   /// `metrics_doc_path` is set.
   std::vector<std::string> passes;
+  /// Finding ids to keep (each one of finding_ids()); empty keeps every
+  /// finding. The selected passes run either way, and a pass's counts
+  /// cover only the findings kept.
+  std::vector<std::string> rules;
   std::string layering_path;     ///< tools/layering.json (enables layering).
   std::string registry_path;     ///< tools/obs_registry.json.
   std::string metrics_doc_path;  ///< docs/observability.md.
@@ -64,23 +85,16 @@ struct LintResult {
   [[nodiscard]] int exit_code() const noexcept { return clean() ? 0 : 1; }
 };
 
-/// Runs every rule over every file (the "rules" pass only — the original
-/// engine entry point, kept for per-file linting and the fixture tests).
-/// Diagnostics on lines covered by an `allow(...)` land in `suppressed`; a
-/// marker naming an unknown rule or pass id is itself an active violation
-/// (rule id "unknown-suppression") so typos cannot silently disable
-/// enforcement. Output order is deterministic: files in the order given,
-/// diagnostics by line then rule id.
-[[nodiscard]] LintResult run_rules(const std::vector<SourceFile>& files,
-                                   const std::vector<std::unique_ptr<Rule>>& rules);
-
 /// Runs the selected passes (see ProjectOptions) over the scan set: the
 /// per-file rules plus the project-wide analyses on a shared ProjectIndex.
-/// Suppression routing is central: a pass diagnostic at file:line honours
-/// `allow(<pass-id>)` exactly like a rule diagnostic. Throws
-/// std::runtime_error on unreadable/malformed manifest or registry inputs.
+/// Suppression routing is central: a finding at file:line honours an
+/// `allow(<id>)` naming its id, whichever pass emits it. A marker naming
+/// neither a finding id nor a pass id is itself an active violation (id
+/// "unknown-suppression") so typos cannot silently disable enforcement.
+/// Output order is deterministic: by file, line, id, then message. Throws
+/// std::runtime_error on an unknown pass or finding id and on
+/// unreadable/malformed manifest or registry inputs.
 [[nodiscard]] LintResult run_project(const std::vector<SourceFile>& files,
-                                     const std::vector<std::unique_ptr<Rule>>& rules,
                                      const ProjectOptions& options);
 
 /// Recursively collects C++ sources (.hpp/.h/.cpp/.cc) under `path` in

@@ -401,8 +401,7 @@ void index_schemas(const SourceFile& file, std::size_t fid, ProjectIndex& out) {
   }
 }
 
-}  // namespace
-
+/// Every metric-name literal of one file, in scan order.
 std::vector<MetricLiteral> extract_metric_literals(const SourceFile& file, std::size_t file_id) {
   std::vector<MetricLiteral> out;
   const std::string_view text = file.scrubbed();
@@ -442,6 +441,8 @@ std::vector<MetricLiteral> extract_metric_literals(const SourceFile& file, std::
   }
   return out;
 }
+
+}  // namespace
 
 std::size_t ProjectIndex::file_id(std::string_view path) const {
   for (std::size_t i = 0; i < files.size(); ++i) {

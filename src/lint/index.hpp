@@ -114,10 +114,4 @@ struct ProjectIndex {
 /// (it keeps pointers, not copies).
 [[nodiscard]] ProjectIndex build_index(const std::vector<SourceFile>& files);
 
-/// Metric-name literal extraction for one file — shared between the
-/// per-file metric-name rule and the registry cross-validation pass so the
-/// two can never disagree about what counts as a recorded metric.
-[[nodiscard]] std::vector<MetricLiteral> extract_metric_literals(const SourceFile& file,
-                                                                 std::size_t file_id);
-
 }  // namespace cdsf::lint

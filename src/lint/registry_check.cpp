@@ -32,6 +32,21 @@ std::size_t line_of_first(std::string_view text, std::string_view needle) {
   return static_cast<std::size_t>(std::count(text.begin(), text.begin() + pos, '\n')) + 1;
 }
 
+/// True when `name` is a production metric name:
+/// ^(sim|cdsf|obs)\.[a-z0-9_.]+$ .
+bool valid_metric_name(std::string_view name) {
+  static constexpr std::array<std::string_view, 3> kPrefixes = {"sim.", "cdsf.", "obs."};
+  for (const std::string_view prefix : kPrefixes) {
+    if (name.size() > prefix.size() && name.compare(0, prefix.size(), prefix) == 0) {
+      const std::string_view rest = name.substr(prefix.size());
+      return std::all_of(rest.begin(), rest.end(), [](char c) {
+        return (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '_' || c == '.';
+      });
+    }
+  }
+  return false;
+}
+
 bool parse_schema_tag(std::string_view tag, std::string& base, int& version) {
   const std::size_t slash = tag.rfind('/');
   if (slash == std::string_view::npos || slash + 1 >= tag.size()) return false;
@@ -107,8 +122,17 @@ RegistryResult check_registry(const ProjectIndex& index, const RegistryInput& in
     code_schemas.emplace(schema.tag, CodeEntry{schema.file, schema.line});
   }
   for (const MetricLiteral& metric : index.metrics) {
-    if (has_segment(index.files[metric.file]->path(), "tests")) continue;
-    if (!valid_metric_name(metric.name)) continue;  // metric-name rule's turf
+    const std::string& path = index.files[metric.file]->path();
+    if (has_segment(path, "tests")) continue;
+    if (!valid_metric_name(metric.name)) {
+      result.diagnostics.push_back(
+          {path, metric.line, kMetricNameId,
+           "metric name \"" + metric.name +
+               "\" must match ^(sim|cdsf|obs)\\.[a-z0-9_.]+$ (subsystem prefix, "
+               "lowercase dotted path)",
+           false, kRegistryPass});
+      continue;
+    }
     code_metrics.emplace(metric.name, CodeEntry{metric.file, metric.line});
   }
   result.code_schemas = code_schemas.size();

@@ -14,7 +14,11 @@
 // tests mint throwaway names; the contract governs production series).
 // Doc side: the backticked first column of the markdown tables.
 //
-// Findings:
+// Findings (id registry-sync unless noted):
+//   - metric-name (its own id): a metric-name literal that does not match
+//     ^(sim|cdsf|obs)\.[a-z0-9_.]+$, so exported series group by
+//     subsystem; it takes no part in the diff below. The pass, and so this
+//     check, runs only when a registry or doc input is given;
 //   - undocumented: the code emits an entry absent from the registry or
 //     the doc tables (anchored at the emitting line);
 //   - orphaned: the registry or doc lists an entry nothing emits (anchored
@@ -34,6 +38,8 @@ namespace cdsf::lint {
 
 /// Pass id used in diagnostics and allow(...) suppressions.
 inline constexpr const char* kRegistryPass = "registry-sync";
+/// Id of the pass's metric-name findings.
+inline constexpr const char* kMetricNameId = "metric-name";
 /// Schema tag the registry file must carry.
 inline constexpr const char* kObsRegistrySchema = "cdsf.obs_registry/1";
 

@@ -4,7 +4,6 @@
 #include <array>
 #include <cctype>
 
-#include "lint/index.hpp"
 #include "lint/text.hpp"
 
 namespace cdsf::lint {
@@ -12,125 +11,11 @@ namespace cdsf::lint {
 namespace {
 
 // ---------------------------------------------------------------------------
-// rng-source
-
-class RngSourceRule final : public Rule {
- public:
-  [[nodiscard]] std::string_view id() const override { return "rng-source"; }
-  [[nodiscard]] std::string_view summary() const override {
-    return "raw C/std random sources outside util/rng.hpp break single-seed reproducibility";
-  }
-  void check(const SourceFile& file, std::vector<Diagnostic>& out) const override {
-    if (ends_with(normalize_path(file.path()), "util/rng.hpp")) return;
-    const std::string_view text = file.scrubbed();
-    // Call-form tokens: flag only C calls, so a member call (`gen.rand()`),
-    // a declaration (`int rand() const;`) or a local named e.g. `rand_limit`
-    // never matches. Token lists and is_c_call_form live in lint/text.hpp,
-    // shared with the wall-clock rules and the determinism-taint pass.
-    for (const std::string_view token : kRngCallTokens) {
-      for (std::size_t pos = find_word(text, token); pos != std::string_view::npos;
-           pos = find_word(text, token, pos + 1)) {
-        if (!is_c_call_form(text, token, pos)) continue;
-        out.push_back({file.path(), file.line_of(pos), std::string(id()),
-                       std::string(token) +
-                           "() is unseeded; draw from util::RngStream (util/rng.hpp) instead",
-                       false, {}});
-      }
-    }
-    // Type tokens: any mention is a violation — constructing a raw engine
-    // or an entropy source bypasses the SplitMix64 seed fan-out.
-    for (const std::string_view token : kRngTypeTokens) {
-      for (std::size_t pos = find_word(text, token); pos != std::string_view::npos;
-           pos = find_word(text, token, pos + 1)) {
-        out.push_back({file.path(), file.line_of(pos), std::string(id()),
-                       "std::" + std::string(token) +
-                           " bypasses the seed fan-out; use util::RngStream / "
-                           "util::SeedSequence (util/rng.hpp)",
-                       false, {}});
-      }
-    }
-  }
-};
-
-// ---------------------------------------------------------------------------
-// wall-clock
-
-/// The wall-clock token scan shared by WallClockRule (sim/dls/cdsf) and
-/// SvcWallClockRule (svc/): one token list, one C-call heuristic, so the
-/// two rules cannot drift apart on what counts as a host-clock read.
-/// `remedy` names where time must come from instead.
-void scan_wall_clock_tokens(const SourceFile& file, std::string_view rule_id,
-                            std::string_view remedy, std::vector<Diagnostic>& out) {
-  const std::string_view text = file.scrubbed();
-  for (const std::string_view token : kWallClockTokens) {
-    for (std::size_t pos = find_word(text, token); pos != std::string_view::npos;
-         pos = find_word(text, token, pos + 1)) {
-      out.push_back({file.path(), file.line_of(pos), std::string(rule_id),
-                     std::string(token) + " reads the host clock; " + std::string(remedy),
-                     false, {}});
-    }
-  }
-  // C `time(...)` / `clock(...)` calls: member calls (obj.time(...),
-  // obj->clock(...)) are someone's API, not the libc clock, and a preceding
-  // identifier means a declaration — is_c_call_form (lint/text.hpp) owns
-  // the heuristic, shared with the determinism-taint pass.
-  for (const std::string_view token : kWallClockCCalls) {
-    for (std::size_t pos = find_word(text, token); pos != std::string_view::npos;
-         pos = find_word(text, token, pos + 1)) {
-      if (!is_c_call_form(text, token, pos)) continue;
-      out.push_back({file.path(), file.line_of(pos), std::string(rule_id),
-                     std::string(token) + "() reads the host clock; " + std::string(remedy),
-                     false, {}});
-    }
-  }
-}
-
-class WallClockRule final : public Rule {
- public:
-  [[nodiscard]] std::string_view id() const override { return "wall-clock"; }
-  [[nodiscard]] std::string_view summary() const override {
-    return "wall/monotonic clock reads in sim/, dls/, cdsf/ make deterministic paths time-dependent";
-  }
-  void check(const SourceFile& file, std::vector<Diagnostic>& out) const override {
-    if (!in_deterministic_path(file.path())) return;
-    scan_wall_clock_tokens(file, id(),
-                           "deterministic paths must derive time from "
-                           "the simulation clock or an explicit parameter",
-                           out);
-  }
-};
-
-// ---------------------------------------------------------------------------
-// svc-wall-clock
-
-class SvcWallClockRule final : public Rule {
- public:
-  [[nodiscard]] std::string_view id() const override { return "svc-wall-clock"; }
-  [[nodiscard]] std::string_view summary() const override {
-    return "the scheduling service (svc/) is virtual-time only; host-clock reads belong "
-           "nowhere but svc/virtual_time.hpp";
-  }
-  void check(const SourceFile& file, std::vector<Diagnostic>& out) const override {
-    if (!has_segment(file.path(), "svc")) return;
-    // The single sanctioned time source: everything else in svc/ must take
-    // time from the VirtualClock it defines.
-    if (ends_with(normalize_path(file.path()), "svc/virtual_time.hpp")) return;
-    scan_wall_clock_tokens(file, id(),
-                           "the service replays byte-identically from a journal, so time "
-                           "must come from svc/virtual_time.hpp (VirtualClock)",
-                           out);
-  }
-};
-
-// ---------------------------------------------------------------------------
 // unordered-iteration
 
 class UnorderedIterationRule final : public Rule {
  public:
   [[nodiscard]] std::string_view id() const override { return "unordered-iteration"; }
-  [[nodiscard]] std::string_view summary() const override {
-    return "iterating an unordered container yields nondeterministic order in reports/traces/reductions";
-  }
   void check(const SourceFile& file, std::vector<Diagnostic>& out) const override {
     const std::string_view text = file.scrubbed();
     // Pass 1: names declared in this file with an unordered container type.
@@ -219,9 +104,6 @@ class UnorderedIterationRule final : public Rule {
 class BareMutexLockRule final : public Rule {
  public:
   [[nodiscard]] std::string_view id() const override { return "bare-mutex-lock"; }
-  [[nodiscard]] std::string_view summary() const override {
-    return "bare lock()/unlock() calls leak on exceptions; use std::scoped_lock / lock_guard";
-  }
   void check(const SourceFile& file, std::vector<Diagnostic>& out) const override {
     const std::string_view text = file.scrubbed();
     static constexpr std::array<std::string_view, 3> kMembers = {"lock", "unlock", "try_lock"};
@@ -271,9 +153,6 @@ class BareMutexLockRule final : public Rule {
 class ReportSchemaTagRule final : public Rule {
  public:
   [[nodiscard]] std::string_view id() const override { return "report-schema-tag"; }
-  [[nodiscard]] std::string_view summary() const override {
-    return "every Json make_*report() in src/obs/ must stamp a \"schema\" key on its document";
-  }
   void check(const SourceFile& file, std::vector<Diagnostic>& out) const override {
     if (!has_segment(file.path(), "obs")) return;
     const std::string_view text = file.scrubbed();
@@ -315,47 +194,13 @@ class ReportSchemaTagRule final : public Rule {
   }
 };
 
-// ---------------------------------------------------------------------------
-// metric-name
-
-class MetricNameRule final : public Rule {
- public:
-  [[nodiscard]] std::string_view id() const override { return "metric-name"; }
-  [[nodiscard]] std::string_view summary() const override {
-    return "registry metric name literals must match ^(sim|cdsf|obs)\\.[a-z0-9_.]+$ so "
-           "exported series group by subsystem";
-  }
-  void check(const SourceFile& file, std::vector<Diagnostic>& out) const override {
-    // Unit tests build throwaway local registries with deliberately tiny
-    // names ("c", "h"); the convention governs production series only.
-    if (has_segment(file.path(), "tests")) return;
-    // The registry cross-validation pass reads the same literals.
-    for (const MetricLiteral& metric : extract_metric_literals(file, 0)) {
-      if (valid_metric_name(metric.name)) continue;
-      out.push_back({file.path(), metric.line, std::string(id()),
-                     "metric name \"" + metric.name +
-                         "\" must match ^(sim|cdsf|obs)\\.[a-z0-9_.]+$ (subsystem prefix, "
-                         "lowercase dotted path)",
-                     false, {}});
-    }
-  }
-};
-
 }  // namespace
-
-bool in_deterministic_path(std::string_view path) {
-  return has_segment(path, "sim") || has_segment(path, "dls") || has_segment(path, "cdsf");
-}
 
 std::vector<std::unique_ptr<Rule>> default_rules() {
   std::vector<std::unique_ptr<Rule>> rules;
-  rules.push_back(std::make_unique<RngSourceRule>());
-  rules.push_back(std::make_unique<WallClockRule>());
-  rules.push_back(std::make_unique<SvcWallClockRule>());
   rules.push_back(std::make_unique<UnorderedIterationRule>());
   rules.push_back(std::make_unique<BareMutexLockRule>());
   rules.push_back(std::make_unique<ReportSchemaTagRule>());
-  rules.push_back(std::make_unique<MetricNameRule>());
   return rules;
 }
 

@@ -1,4 +1,4 @@
-// Rule interface and the built-in CDSF rule set for cdsf_lint.
+// Rule interface and the per-file rule set of cdsf_lint's "rules" pass.
 //
 // Rules are lexical: they pattern-match identifiers in the scrubbed view of
 // a SourceFile (comments and literal contents blanked), so they are fast,
@@ -8,12 +8,8 @@
 // `// cdsf-lint: allow(<rule>)` suppression, which the engine counts and
 // lists rather than hides.
 //
-// Built-in rules (ids are stable; docs/static_analysis.md documents each):
-//   rng-source          — no rand()/srand()/std::random_device/raw std
-//                         engines outside util/rng.hpp; all randomness
-//                         must flow from util::RngStream / SeedSequence.
-//   wall-clock          — no wall/monotonic clock reads in the
-//                         deterministic subsystems (sim/, dls/, cdsf/).
+// The three rules need nothing beyond the file itself (ids are stable;
+// docs/static_analysis.md documents each):
 //   unordered-iteration — no iteration over std::unordered_{map,set,...}
 //                         declared in the same file; iteration order is
 //                         nondeterministic and poisons reports, traces,
@@ -22,10 +18,9 @@
 //                         guards (std::scoped_lock & friends).
 //   report-schema-tag   — every `Json make_*report(...)` in src/obs/ must
 //                         stamp a "schema" key on the document it builds.
-//   metric-name         — MetricsRegistry name literals (add/observe/
-//                         set_gauge/set_histogram_bounds/ScopedTimer) must
-//                         match ^(sim|cdsf|obs)\.[a-z0-9_.]+$ outside
-//                         tests/, so exported series group by subsystem.
+// The other lexical ids are emitted by the pass that already reads their
+// tokens: rng-source and wall-clock by determinism-taint (lint/taint.hpp),
+// metric-name by registry-sync (lint/registry_check.hpp).
 #pragma once
 
 #include <cstddef>
@@ -55,17 +50,11 @@ class Rule {
   virtual ~Rule() = default;
   /// Stable kebab-case id used in diagnostics and allow(...) comments.
   [[nodiscard]] virtual std::string_view id() const = 0;
-  /// One-line human description for --list-rules.
-  [[nodiscard]] virtual std::string_view summary() const = 0;
   /// Emits diagnostics for `file` (suppressions are applied by the engine).
   virtual void check(const SourceFile& file, std::vector<Diagnostic>& out) const = 0;
 };
 
-/// The full built-in rule set, in stable order.
+/// The rules pass's rule set, in stable order.
 [[nodiscard]] std::vector<std::unique_ptr<Rule>> default_rules();
-
-/// True when `path` lies in a deterministic subsystem (a /sim/, /dls/, or
-/// /cdsf/ path segment) where wall-clock reads are forbidden.
-[[nodiscard]] bool in_deterministic_path(std::string_view path);
 
 }  // namespace cdsf::lint

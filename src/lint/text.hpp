@@ -28,10 +28,23 @@ namespace cdsf::lint {
 }
 
 /// True when `path` contains `segment` as a whole directory component
-/// (`/sim/` infix or `sim/` prefix).
+/// (`/sim/` infix or `sim/` prefix) of the tree. The path is read from its
+/// last `src/`, `tests/`, `bench/` or `examples/` component (the whole path
+/// when it has none), so the directories a checkout lives under
+/// (`/home/u/cdsf/src/...`) never gate a file as one of the subsystems.
 [[nodiscard]] inline bool has_segment(std::string_view path, std::string_view segment) {
-  const std::string normalized = normalize_path(path);
-  // append() instead of operator+ (GCC 12 -O3 -Wrestrict false positive).
+  static constexpr std::array<std::string_view, 4> kTreeRoots = {"src", "tests", "bench",
+                                                                 "examples"};
+  std::string normalized = normalize_path(path);
+  std::size_t root = 0;
+  for (const std::string_view tree_root : kTreeRoots) {
+    // append() instead of operator+ (GCC 12 -O3 -Wrestrict false positive).
+    std::string infix = "/";
+    infix.append(tree_root).append("/");
+    const std::size_t pos = normalized.rfind(infix);
+    if (pos != std::string::npos) root = std::max(root, pos + 1);
+  }
+  normalized.erase(0, root);
   std::string infix = "/";
   infix.append(segment).append("/");
   if (normalized.find(infix) != std::string::npos) return true;
@@ -108,69 +121,6 @@ namespace cdsf::lint {
   return before != std::string_view::npos &&
          (text[before] == '.' ||
           (text[before] == '>' && before > 0 && text[before - 1] == '-'));
-}
-
-/// The single source of truth for what counts as a host-clock read: the
-/// chrono clock types plus the POSIX/libc formatting-and-reading calls.
-/// Shared by the wall-clock rules (sim/dls/cdsf and svc) and the
-/// determinism-taint pass, so the scanners can never drift apart.
-inline constexpr std::array<std::string_view, 11> kWallClockTokens = {
-    "system_clock", "steady_clock", "high_resolution_clock", "file_clock",
-    "utc_clock",    "gettimeofday", "clock_gettime",          "timespec_get",
-    "localtime",    "gmtime",       "strftime"};
-
-/// C clock reads that are only violations in call form (`time(...)`), since
-/// the bare word also names members and locals.
-inline constexpr std::array<std::string_view, 2> kWallClockCCalls = {"time", "clock"};
-
-/// Unseeded C random sources, violations in call form only.
-inline constexpr std::array<std::string_view, 4> kRngCallTokens = {"rand", "srand", "rand_r",
-                                                                   "drand48"};
-
-/// Raw std engine / entropy-source types; any mention bypasses the seeded
-/// SplitMix64 fan-out in util/rng.hpp.
-inline constexpr std::array<std::string_view, 9> kRngTypeTokens = {
-    "random_device", "mt19937",  "mt19937_64", "minstd_rand", "minstd_rand0",
-    "default_random_engine", "ranlux24", "ranlux48", "knuth_b"};
-
-/// True when `name` is a production metric name:
-/// ^(sim|cdsf|obs)\.[a-z0-9_.]+$ . Shared by the metric-name rule and the
-/// registry cross-validation pass.
-[[nodiscard]] inline bool valid_metric_name(std::string_view name) {
-  static constexpr std::array<std::string_view, 3> kPrefixes = {"sim.", "cdsf.", "obs."};
-  for (const std::string_view prefix : kPrefixes) {
-    if (name.size() > prefix.size() && name.compare(0, prefix.size(), prefix) == 0) {
-      const std::string_view rest = name.substr(prefix.size());
-      return std::all_of(rest.begin(), rest.end(), [](char c) {
-        return (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '_' || c == '.';
-      });
-    }
-  }
-  return false;
-}
-
-/// True when `pos` in scrubbed `text` is a C-call-form hit for `token`:
-/// followed by '(', not a member call (`obj.time(...)`), and not a
-/// declaration (`long time() const`) unless introduced by a statement
-/// keyword (`return time(0)`).
-[[nodiscard]] inline bool is_c_call_form(std::string_view text, std::string_view token,
-                                         std::size_t pos) {
-  const std::size_t after = skip_ws(text, pos + token.size());
-  if (after >= text.size() || text[after] != '(') return false;
-  if (preceded_by_member_access(text, pos)) return false;
-  const std::size_t before = prev_non_ws(text, pos);
-  if (before == std::string_view::npos) return true;
-  if (is_ident_char(text[before])) {
-    const std::size_t start = ident_start(text, before);
-    const std::string_view prev_token = text.substr(start, before + 1 - start);
-    static constexpr std::array<std::string_view, 5> kCallKeywords = {
-        "return", "co_return", "co_yield", "throw", "case"};
-    for (const std::string_view keyword : kCallKeywords) {
-      if (prev_token == keyword) return true;
-    }
-    return false;
-  }
-  return true;
 }
 
 }  // namespace cdsf::lint

@@ -9,9 +9,12 @@
 // Paths may be files or directories (directories are scanned recursively
 // for .hpp/.h/.cpp/.cc, in sorted order, so output is stable). Beyond the
 // per-file rules, project-wide passes analyze the whole scan set at once:
-// include-layering (needs --layering), lock-order, determinism-taint, and
-// registry-sync (needs --registry and/or --metrics-doc). The rule set,
-// passes, and suppression syntax are documented in docs/static_analysis.md.
+// include-layering (needs --layering), lock-order, determinism-taint (which
+// also emits the rng-source and wall-clock findings), and registry-sync
+// (needs --registry and/or --metrics-doc; also emits metric-name). --rule
+// keeps only the findings with the named ids, whichever pass emits them.
+// The finding ids, passes, and suppression syntax are documented in
+// docs/static_analysis.md.
 //
 // Exit codes: 0 clean, 1 violations, 2 usage/I-O error.
 #include <cstdio>
@@ -22,7 +25,6 @@
 #include <vector>
 
 #include "lint/engine.hpp"
-#include "lint/rules.hpp"
 #include "lint/source.hpp"
 
 namespace {
@@ -30,14 +32,15 @@ namespace {
 void print_usage(std::ostream& out) {
   out << "usage: cdsf_lint [options] <path> [<path> ...]\n"
          "\n"
-         "CDSF concurrency & determinism lint. Per-file rules (unseeded RNG,\n"
-         "wall-clock reads in deterministic paths, unordered-container\n"
+         "CDSF concurrency & determinism lint. Per-file rules (unordered-container\n"
          "iteration, bare mutex lock/unlock, untagged report documents) plus\n"
-         "project-wide passes (include-layering, lock-order, determinism-taint,\n"
-         "registry-sync). See docs/static_analysis.md.\n"
+         "project-wide passes (include-layering, lock-order, determinism-taint\n"
+         "with unseeded RNG and wall-clock reads in deterministic paths,\n"
+         "registry-sync with metric names). See docs/static_analysis.md.\n"
          "\n"
          "  --json             machine-readable report on stdout (cdsf.lint_report/2)\n"
-         "  --rule <id>        run only the named rule (repeatable)\n"
+         "  --rule <id>        keep only findings with this id, whichever pass\n"
+         "                     emits it (repeatable; see --list-rules)\n"
          "  --pass <name>      run only the named pass (repeatable; default:\n"
          "                     rules, lock-order, determinism-taint, plus\n"
          "                     include-layering/registry-sync when their\n"
@@ -50,7 +53,7 @@ void print_usage(std::ostream& out) {
          "                     cross-checks (docs/observability.md)\n"
          "  --graph-dot <file> write the layer include graph as Graphviz DOT\n"
          "                     (needs --layering)\n"
-         "  --list-rules       print rule ids + summaries and exit\n"
+         "  --list-rules       print finding ids + summaries and exit\n"
          "  --list-passes      print pass names and exit\n";
 }
 
@@ -60,7 +63,6 @@ int main(int argc, char** argv) {
   bool json = false;
   bool list_rules = false;
   bool list_passes = false;
-  std::vector<std::string> only_rules;
   std::vector<std::string> paths;
   cdsf::lint::ProjectOptions options;
   std::string graph_dot_path;
@@ -84,7 +86,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--rule") {
       const char* value = need_value(i, arg);
       if (value == nullptr) return 2;
-      only_rules.emplace_back(value);
+      options.rules.emplace_back(value);
     } else if (arg == "--pass") {
       const char* value = need_value(i, arg);
       if (value == nullptr) return 2;
@@ -118,10 +120,9 @@ int main(int argc, char** argv) {
   }
   options.want_dot = !graph_dot_path.empty();
 
-  auto rules = cdsf::lint::default_rules();
   if (list_rules) {
-    for (const auto& rule : rules) {
-      std::cout << rule->id() << " — " << rule->summary() << "\n";
+    for (const cdsf::lint::FindingId& finding : cdsf::lint::finding_ids()) {
+      std::cout << finding.id << " — " << finding.summary << "\n";
     }
     return 0;
   }
@@ -130,22 +131,6 @@ int main(int argc, char** argv) {
       std::cout << pass << "\n";
     }
     return 0;
-  }
-  if (!only_rules.empty()) {
-    for (const std::string& id : only_rules) {
-      bool known = false;
-      for (const auto& rule : rules) known = known || rule->id() == id;
-      if (!known) {
-        std::cerr << "cdsf_lint: unknown rule '" << id << "' (see --list-rules)\n";
-        return 2;
-      }
-    }
-    std::erase_if(rules, [&](const auto& rule) {
-      for (const std::string& id : only_rules) {
-        if (rule->id() == id) return false;
-      }
-      return true;
-    });
   }
   if (paths.empty()) {
     print_usage(std::cerr);
@@ -159,7 +144,7 @@ int main(int argc, char** argv) {
         files.push_back(cdsf::lint::SourceFile::load(source));
       }
     }
-    const cdsf::lint::LintResult result = cdsf::lint::run_project(files, rules, options);
+    const cdsf::lint::LintResult result = cdsf::lint::run_project(files, options);
     if (!graph_dot_path.empty()) {
       std::ofstream dot(graph_dot_path, std::ios::binary);
       if (!dot) {

@@ -2,7 +2,10 @@
 //
 // Three layers:
 //   1. Scrubber / suppression parsing on in-memory sources.
-//   2. Rule semantics on synthetic sources with controlled paths.
+//   2. The lexical finding ids on synthetic sources with controlled paths,
+//      through the engine's default passes (rules, lock-order,
+//      determinism-taint — which emits rng-source and wall-clock), and
+//      metric-name through registry-sync.
 //   3. The fixture files under tests/lint_fixtures/ (exact diagnostics) and
 //      the installed cdsf_lint binary (exact exit codes, --json shape).
 //
@@ -15,6 +18,8 @@
 #include <vector>
 
 #include "lint/engine.hpp"
+#include "lint/index.hpp"
+#include "lint/registry_check.hpp"
 #include "lint/rules.hpp"
 #include "lint/source.hpp"
 #include "obs/json.hpp"
@@ -28,7 +33,7 @@ using cdsf::lint::SourceFile;
 LintResult lint_text(const std::string& path, const std::string& text) {
   std::vector<SourceFile> files;
   files.push_back(SourceFile::from_string(path, text));
-  return cdsf::lint::run_rules(files, cdsf::lint::default_rules());
+  return cdsf::lint::run_project(files, {});
 }
 
 std::vector<std::pair<std::string, std::size_t>> rule_lines(const std::vector<Diagnostic>& ds) {
@@ -154,28 +159,34 @@ TEST(LintRules, WallClockOnlyFiresInDeterministicPaths) {
   EXPECT_EQ(rule_lines(sim_hit.violations),
             (std::vector<std::pair<std::string, std::size_t>>{{"wall-clock", 2},
                                                               {"wall-clock", 3}}));
+  // The scheduling service replays from a journal, so svc/ is one of the
+  // deterministic subsystems too.
+  EXPECT_EQ(rule_lines(lint_text("src/svc/service.cpp", text).violations),
+            rule_lines(sim_hit.violations));
   EXPECT_TRUE(lint_text("src/obs/x.cpp", text).violations.empty());
   EXPECT_TRUE(lint_text("bench/x.cpp", text).violations.empty());
+  // The determinism-taint pass emits both ids, at their own lines, whether
+  // or not the read sits inside a function body.
+  for (const Diagnostic& diagnostic : sim_hit.violations) {
+    EXPECT_EQ(diagnostic.pass, "determinism-taint");
+  }
 }
 
-TEST(LintRules, SvcWallClockFiresEverywhereInSvcButTheVirtualTimeSource) {
-  const std::string text =
-      "#include <chrono>\n"
-      "auto t = std::chrono::steady_clock::now();\n"
-      "long u = time(nullptr);\n"
-      "long v = clock.now();\n";  // member call: the VirtualClock, not libc
-  const LintResult svc_hit = lint_text("src/svc/service.cpp", text);
-  EXPECT_EQ(rule_lines(svc_hit.violations),
-            (std::vector<std::pair<std::string, std::size_t>>{{"svc-wall-clock", 2},
-                                                              {"svc-wall-clock", 3}}));
-  // The one sanctioned time source is exempt; non-svc paths are not this
-  // rule's business (src/sim etc. are WallClockRule's).
-  EXPECT_TRUE(lint_text("src/svc/virtual_time.hpp", text).violations.empty());
-  EXPECT_TRUE(lint_text("src/obs/x.cpp", text).violations.empty());
-  const LintResult sim_hit = lint_text("src/sim/x.cpp", text);
-  for (const Diagnostic& diagnostic : sim_hit.violations) {
-    EXPECT_EQ(diagnostic.rule, "wall-clock");
-  }
+TEST(LintRules, PathGatesReadTheTreeFromItsLastRootComponent) {
+  // A checkout reached through a directory named like a subsystem (here a
+  // clone called cdsf) must not gate its bench/ files as cdsf/.
+  const std::string text = "auto t = std::chrono::steady_clock::now();\n";
+  EXPECT_TRUE(lint_text("/home/u/cdsf/bench/x.cpp", text).violations.empty());
+  EXPECT_EQ(rule_lines(lint_text("/home/u/cdsf/src/sim/x.cpp", text).violations),
+            (std::vector<std::pair<std::string, std::size_t>>{{"wall-clock", 1}}));
+  EXPECT_EQ(rule_lines(lint_text("/home/u/cdsf/src/cdsf/x.cpp", text).violations),
+            (std::vector<std::pair<std::string, std::size_t>>{{"wall-clock", 1}}));
+  // The same anchoring applies to every gate: obs/ for report-schema-tag,
+  // tests/ for metric-name.
+  const std::string report = "Json make_x_report(int v) { return Json(); }\n";
+  EXPECT_TRUE(lint_text("/home/u/obs/src/util/x.cpp", report).violations.empty());
+  EXPECT_EQ(rule_lines(lint_text("/home/u/src/obs/x.cpp", report).violations),
+            (std::vector<std::pair<std::string, std::size_t>>{{"report-schema-tag", 1}}));
 }
 
 TEST(LintRules, UnorderedIterationFlagsRangeForAndBeginButNotLookup) {
@@ -223,6 +234,14 @@ TEST(LintRules, ReportSchemaTagRequiresSetSchemaInObsReportBuilders) {
   EXPECT_TRUE(lint_text("src/sim/report.cpp", text).violations.empty());
 }
 
+/// metric-name findings: registry-sync emits them from the index's metric
+/// literals, whether or not a registry or doc side is given.
+std::vector<Diagnostic> metric_name_findings(const std::string& path, const std::string& text) {
+  std::vector<SourceFile> files;
+  files.push_back(SourceFile::from_string(path, text));
+  return cdsf::lint::check_registry(cdsf::lint::build_index(files), {}).diagnostics;
+}
+
 TEST(LintRules, MetricNameEnforcesSubsystemPrefixOutsideTests) {
   const std::string text =
       "void f(obs::MetricsRegistry& metrics, stats::StreamingSummary& summary) {\n"
@@ -235,13 +254,13 @@ TEST(LintRules, MetricNameEnforcesSubsystemPrefixOutsideTests) {
       "  summary.add(4.0);\n"            // different API entirely
       "  obs::ScopedTimer timer(metrics, \"stage2.seconds\");\n"
       "}\n";
-  const LintResult hit = lint_text("src/sim/x.cpp", text);
-  EXPECT_EQ(rule_lines(hit.violations),
+  EXPECT_EQ(rule_lines(metric_name_findings("src/sim/x.cpp", text)),
             (std::vector<std::pair<std::string, std::size_t>>{
-                {"metric-name", 3}, {"metric-name", 4}, {"metric-name", 9}}))
-      << cdsf::lint::to_text(hit);
+                {"metric-name", 3}, {"metric-name", 4}, {"metric-name", 9}}));
   // Unit tests name throwaway local-registry series freely.
-  EXPECT_TRUE(lint_text("tests/test_x.cpp", text).violations.empty());
+  EXPECT_TRUE(metric_name_findings("tests/test_x.cpp", text).empty());
+  // Without registry-sync's inputs the pass, and so the id, does not run.
+  EXPECT_TRUE(lint_text("src/sim/x.cpp", text).violations.empty());
 }
 
 TEST(LintRules, UnknownSuppressionIsAViolation) {
@@ -260,7 +279,7 @@ std::string fixture(const std::string& name) {
 LintResult lint_fixture(const std::string& name) {
   std::vector<SourceFile> files;
   files.push_back(SourceFile::load(fixture(name)));
-  return cdsf::lint::run_rules(files, cdsf::lint::default_rules());
+  return cdsf::lint::run_project(files, {});
 }
 
 TEST(LintFixtures, CleanFileHasNoFindings) {
@@ -308,7 +327,7 @@ TEST(LintFixtures, ScrubEdgeCasesFileIsClean) {
                          std::istreambuf_iterator<char>());
   std::vector<SourceFile> files;
   files.push_back(SourceFile::from_string("src/sim/scrub_edges.cxx", text));
-  const LintResult result = cdsf::lint::run_rules(files, cdsf::lint::default_rules());
+  const LintResult result = cdsf::lint::run_project(files, {});
   EXPECT_TRUE(result.violations.empty()) << cdsf::lint::to_text(result);
   EXPECT_TRUE(result.suppressed.empty());
 }

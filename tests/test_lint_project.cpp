@@ -36,6 +36,7 @@ using cdsf::lint::LayeringManifest;
 using cdsf::lint::LintResult;
 using cdsf::lint::ProjectIndex;
 using cdsf::lint::ProjectOptions;
+using cdsf::lint::run_project;
 using cdsf::lint::SourceFile;
 
 std::vector<SourceFile> sources(
@@ -401,6 +402,31 @@ TEST(LintTaint, SuppressedSeedLinesDoNotSeed) {
   EXPECT_EQ(result.seeds, 0u);
 }
 
+TEST(LintTaint, DirectReadsKeepTheirIdsAndScopesWhateverTheTrustedList) {
+  const auto files = sources({
+      // obs/ is trusted for chains, yet its raw engine is still rng-source.
+      {"src/obs/x.cpp", "std::mt19937 engine;\n"},
+      // Outside any function body, and svc/ is a deterministic subsystem.
+      {"src/svc/y.cpp", "#include <chrono>\nauto t = std::chrono::steady_clock::now();\n"},
+      // The seeded fan-out may name engines; util/ may read the clock.
+      {"src/util/rng.hpp", "std::mt19937_64 engine;\n"},
+      {"src/util/z.cpp", "double now() { return clock(); }\n"},
+  });
+  const auto result = cdsf::lint::check_determinism_taint(build_index(files));
+  ASSERT_EQ(result.diagnostics.size(), 2u) << diag_text(result.diagnostics);
+  EXPECT_EQ(result.diagnostics[0].file, "src/obs/x.cpp");
+  EXPECT_EQ(result.diagnostics[0].line, 1u);
+  EXPECT_EQ(result.diagnostics[0].rule, cdsf::lint::kRngSourceId);
+  EXPECT_EQ(result.diagnostics[0].message,
+            "std::mt19937 bypasses the seed fan-out; use util::RngStream / "
+            "util::SeedSequence (util/rng.hpp)");
+  EXPECT_EQ(result.diagnostics[1].file, "src/svc/y.cpp");
+  EXPECT_EQ(result.diagnostics[1].line, 2u);
+  EXPECT_EQ(result.diagnostics[1].rule, cdsf::lint::kWallClockId);
+  for (const Diagnostic& d : result.diagnostics) EXPECT_EQ(d.pass, cdsf::lint::kTaintPass);
+  EXPECT_EQ(result.seeds, 1u);  // util/z.cpp's now(): a seed, but no finding of its own
+}
+
 // --- registry-sync ----------------------------------------------------------
 
 cdsf::lint::RegistryInput registry_input(const std::string& registry_text,
@@ -501,8 +527,43 @@ TEST(LintRegistry, TestSourcesMayMintThrowawayNames) {
 
 // --- engine pass routing ----------------------------------------------------
 
-LintResult run_project(const std::vector<SourceFile>& files, const ProjectOptions& options) {
-  return cdsf::lint::run_project(files, cdsf::lint::default_rules(), options);
+TEST(LintEngine, FindingIdsListEveryRuleOnceWithItsPass) {
+  std::vector<std::string> listed_rules;
+  for (const auto& finding : cdsf::lint::finding_ids()) {
+    if (finding.pass == cdsf::lint::kRulesPass) listed_rules.emplace_back(finding.id);
+  }
+  std::vector<std::string> rules;
+  for (const auto& rule : cdsf::lint::default_rules()) rules.emplace_back(rule->id());
+  EXPECT_EQ(listed_rules, rules);
+  EXPECT_EQ(cdsf::lint::finding_ids().size(), 6u);
+}
+
+TEST(LintEngine, RuleFilterKeepsTheNamedIdsWhicheverPassEmitsThem) {
+  const auto files = sources({{"src/sim/x.cpp",
+                               "std::mutex mu_a;\n"
+                               "int roll() { return rand(); }\n"
+                               "void f() { mu_a.lock(); }\n"
+                               "int a;  // cdsf-lint: allow(no-such-rule)\n"
+                               "std::unordered_set<int> seen;\n"
+                               "long now() { for (int v : seen) {} return time(nullptr); }\n"}});
+  ProjectOptions options;
+  options.rules = {cdsf::lint::kRngSourceId, "bare-mutex-lock"};
+  const LintResult result = run_project(files, options);
+  std::vector<std::pair<std::string, std::string>> kept;
+  for (const Diagnostic& d : result.violations) kept.emplace_back(d.rule, d.pass);
+  // The unordered-iteration, wall-clock and unknown-suppression findings
+  // carry no kept id, so they go.
+  EXPECT_EQ(kept, (std::vector<std::pair<std::string, std::string>>{
+                      {cdsf::lint::kRngSourceId, cdsf::lint::kTaintPass},
+                      {"bare-mutex-lock", cdsf::lint::kRulesPass}}))
+      << cdsf::lint::to_text(result);
+  for (const auto& pass : result.passes) {
+    const bool counts_one =
+        pass.name == cdsf::lint::kRulesPass || pass.name == cdsf::lint::kTaintPass;
+    EXPECT_EQ(pass.violation_count, counts_one ? 1u : 0u) << pass.name;
+  }
+  options.rules = {cdsf::lint::kLockOrderPass};  // a pass id, not a finding id
+  EXPECT_THROW((void)run_project(files, options), std::runtime_error);
 }
 
 TEST(LintEngine, DefaultPassesSkipAnalysesWithoutInputs) {
@@ -574,7 +635,8 @@ TEST(LintEngine, PassDiagnosticsHonorAllowSuppressions) {
 TEST(LintEngine, PassIdTyposInSuppressionsAreViolations) {
   const auto files = sources({{"src/a/x.cpp",
                                "int a;  // cdsf-lint: allow(lock-ordr)\n"
-                               "int b;  // cdsf-lint: allow(determinism-taint)\n"}});
+                               "int b;  // cdsf-lint: allow(determinism-taint)\n"
+                               "int c;  // cdsf-lint: allow(metric-name)\n"}});
   const LintResult result = run_project(files, {});
   ASSERT_EQ(result.violations.size(), 1u) << cdsf::lint::to_text(result);
   EXPECT_EQ(result.violations[0].rule, "unknown-suppression");
