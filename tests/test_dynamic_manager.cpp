@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "cdsf/dynamic_manager.hpp"
+#include "obs/flight.hpp"
+#include "obs/report.hpp"
+#include "svc/journal.hpp"
 #include "sysmodel/cases.hpp"
+#include "test_support.hpp"
 
 namespace cdsf::core {
 namespace {
@@ -186,6 +193,108 @@ TEST_F(DynamicManagerTest, RiskFloorOutOfDomainIsRejected) {
   config.speculation_risk_floor = 1.5;
   EXPECT_THROW(run_dynamic_manager(platform_, reference_, reference_, config, 1),
                std::invalid_argument);
+}
+
+// ------------------------------------------------------- recorded digests --
+
+/// One recorded configuration: its inputs and the FNV-1a digests of
+/// make_dynamic_report(...).dump() and, when the manager armed one, of the
+/// flight record's JSON (0 when it did not).
+struct DigestCase {
+  const char* name;
+  DynamicConfig config;
+  sysmodel::AvailabilitySpec reference;
+  sysmodel::AvailabilitySpec runtime;
+  std::uint64_t seed;
+  std::uint64_t report_digest;
+  std::uint64_t flight_digest;
+};
+
+/// Offered load well past capacity, with heterogeneous slack (EDF != FIFO).
+DynamicConfig overload_config() {
+  DynamicConfig config = small_config();
+  config.applications = 20;
+  config.mean_interarrival = 100.0;
+  config.deadline_slack = 4000.0;
+  config.deadline_slack_spread = 0.25;
+  config.application_spec.min_total_iterations = 800;
+  config.application_spec.max_total_iterations = 3000;
+  config.application_spec.min_mean_time = 2000.0;
+  config.application_spec.max_mean_time = 8000.0;
+  return config;
+}
+
+std::vector<DigestCase> digest_cases() {
+  const sysmodel::AvailabilitySpec case1 = sysmodel::paper_case(1);
+  const sysmodel::AvailabilitySpec case4 = sysmodel::paper_case(4);
+  std::vector<DigestCase> cases;
+
+  DynamicConfig accept_all = small_config();
+  accept_all.mean_interarrival = 300.0;  // a queue builds behind the arrivals
+  cases.push_back({"accept_all", accept_all, case1, case1, 3, 0xb110f036edbc8afeULL, 0});
+
+  DynamicConfig bounded = overload_config();
+  bounded.deadline_slack = 3000.0;  // queued work decays under its shed floor
+  bounded.deadline_slack_spread = 0.0;
+  bounded.admission.policy = AdmissionPolicy::kBoundedQueue;
+  bounded.admission.queue_capacity = 6;
+  bounded.admission.shed_floor = 0.1;
+  cases.push_back({"bounded_fifo_shed", bounded, case1, case1, 7,
+                   0xf51fe705beb42760ULL, 0x605497c6891d45f0ULL});
+
+  DynamicConfig rho2 = overload_config();
+  rho2.admission.policy = AdmissionPolicy::kRho2Aware;
+  rho2.admission.queue_capacity = 4;
+  rho2.admission.queue_order = QueueOrder::kEdf;
+  rho2.admission.admit_floor = 0.2;
+  rho2.admission.shed_floor = 0.1;
+  rho2.admission.ladder = true;
+  rho2.admission.ladder_alpha = 0.4;
+  rho2.admission.overload_threshold = 0.7;
+  rho2.admission.recover_threshold = 0.3;
+  cases.push_back({"rho2_ladder_edf", rho2, case1, case1, 7,
+                   0xf56abec417ae0088ULL, 0x6729dac7905daab1ULL});
+
+  DynamicConfig remap = small_config();
+  remap.remap_on_rho2 = true;
+  remap.rho2 = 0.05;
+  cases.push_back({"remap_case4", remap, case1, case4, 17, 0xbf00abf706e7820fULL, 0});
+
+  DynamicConfig escalate = small_config();
+  escalate.escalate_speculation_on_risk = true;
+  escalate.speculation_risk_floor = 0.95;
+  cases.push_back({"escalate_speculation", escalate, case1, case4, 17,
+                   0xac63c68c16eb80a9ULL, 0});
+
+  // 64 levels x 64 discretization pulses cross the 512-pulse budget, so
+  // every completion law here is compacted.
+  const sysmodel::AvailabilitySpec leveled = test::leveled_availability(2, 64);
+  DynamicConfig compacted = small_config();
+  compacted.mean_interarrival = 200.0;
+  cases.push_back({"leveled_64", compacted, leveled, leveled, 5, 0x1307a3e602f528cbULL, 0});
+  return cases;
+}
+
+// Byte-identity oracle for the manager: accept-all, bounded FIFO with
+// shedding, rho_2 admission with the ladder and EDF, the rho_2 re-map,
+// speculation escalation, and compacted completion laws. A refactor of the
+// manager must keep every digest; a deliberate behavior change re-records
+// them and says why.
+TEST_F(DynamicManagerTest, OutputsMatchRecordedDigests) {
+  for (const DigestCase& c : digest_cases()) {
+    const DynamicRunResult result =
+        run_dynamic_manager(platform_, c.reference, c.runtime, c.config, c.seed);
+    EXPECT_EQ(svc::fnv1a64(obs::make_dynamic_report(result, c.config, platform_).dump()),
+              c.report_digest)
+        << c.name;
+    // The flight record is armed only under active admission, and
+    // CDSF_FLIGHT=off disarms it everywhere.
+    if (result.flight.enabled) {
+      EXPECT_EQ(svc::fnv1a64(obs::flight_record_to_json(result.flight, {}).dump()),
+                c.flight_digest)
+          << c.name;
+    }
+  }
 }
 
 // ------------------------------------------------------- PMF risk metrics --
