@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
-#include <queue>
+#include <functional>
 #include <stdexcept>
 #include <string>
 
 #include "obs/metrics.hpp"
 #include "pmf/ops.hpp"
+#include "ra/robustness.hpp"
+#include "sim/engine.hpp"
 #include "sim/sim_common.hpp"
 #include "util/rng.hpp"
 
@@ -16,20 +18,10 @@ namespace cdsf::core {
 
 namespace {
 
-/// Pr(application completes within `budget`) on `count` processors of
-/// `type` — the single-application stochastic robustness metric.
-double success_probability(const workload::Application& app, std::size_t type,
-                           std::size_t count, const sysmodel::AvailabilitySpec& reference,
-                           double budget) {
-  if (budget <= 0.0) return 0.0;
-  const pmf::Pmf completion =
-      pmf::apply_availability(app.parallel_pmf(type, count, 64), reference.of_type(type));
-  return completion.cdf(budget);
-}
-
-/// Best (type, count) among the free processors: maximize the probability,
-/// tie-break toward fewer processors (leave room for the queue), then
-/// toward the smaller expected completion.
+/// Best (type, count) among the free processors: maximize the probability
+/// that the application completes within `budget`, tie-break toward fewer
+/// processors (leave room for the queue), then toward the smaller expected
+/// completion.
 struct Choice {
   ra::GroupAssignment group;
   double probability = -1.0;
@@ -38,9 +30,8 @@ struct Choice {
 
 /// With `coarse` set (degradation tier kCoarseAllocation and above) the
 /// candidate set collapses to the largest admissible count per type.
-Choice choose_group(const workload::Application& app,
-                    const std::vector<std::size_t>& free_processors,
-                    const sysmodel::AvailabilitySpec& reference, double budget,
+Choice choose_group(const ra::RobustnessEvaluator& laws, std::size_t app,
+                    const std::vector<std::size_t>& free_processors, double budget,
                     ra::CountRule rule, bool coarse) {
   Choice best;
   for (std::size_t type = 0; type < free_processors.size(); ++type) {
@@ -48,7 +39,7 @@ Choice choose_group(const workload::Application& app,
         ra::candidate_counts(free_processors[type], rule);
     for (std::size_t count : counts) {
       if (coarse && count != counts.back()) continue;
-      const double p = success_probability(app, type, count, reference, budget);
+      const double p = laws.completion_pmf(app, ra::GroupAssignment{type, count}).cdf(budget);
       const bool better =
           p > best.probability + 1e-12 ||
           (p > best.probability - 1e-12 && best.found && count < best.group.processors);
@@ -67,21 +58,15 @@ Choice choose_group(const workload::Application& app,
 /// bound the admission test discounts by the backlog, and the law whose
 /// shed_floor-quantile prices deadline-aware shedding.
 struct AdmissionEstimate {
-  pmf::Pmf completion;     // completion law of the best full-platform group
-  double shed_budget = 0.0;  // smallest budget with Pr(success) >= shed_floor
+  const pmf::Pmf& completion;  // completion law of the best full-platform group
+  double shed_budget = 0.0;    // smallest budget with Pr(success) >= shed_floor
 };
 
-AdmissionEstimate make_estimate(const workload::Application& app,
-                                const std::vector<std::size_t>& full_capacity,
-                                const sysmodel::AvailabilitySpec& planning_spec,
-                                double slack, ra::CountRule rule, double shed_floor) {
-  const Choice best =
-      choose_group(app, full_capacity, planning_spec, std::max(slack, 1.0), rule, false);
-  AdmissionEstimate estimate{
-      pmf::apply_availability(
-          app.parallel_pmf(best.group.processor_type, best.group.processors, 64),
-          planning_spec.of_type(best.group.processor_type)),
-      0.0};
+AdmissionEstimate make_estimate(const ra::RobustnessEvaluator& laws, std::size_t app,
+                                const std::vector<std::size_t>& full_capacity, double slack,
+                                ra::CountRule rule, double shed_floor) {
+  const Choice best = choose_group(laws, app, full_capacity, std::max(slack, 1.0), rule, false);
+  AdmissionEstimate estimate{laws.completion_pmf(app, best.group), 0.0};
   if (shed_floor > 0.0) {
     double cumulative = 0.0;
     estimate.shed_budget = estimate.completion.max();
@@ -159,6 +144,22 @@ DynamicRunResult run_dynamic_manager(const sysmodel::Platform& platform,
   const sysmodel::AvailabilitySpec& planning_spec = remap_triggered ? runtime : reference;
   const AdmissionConfig& admission = config.admission;
   const bool admission_active = admission.active();
+
+  const util::SeedSequence seeds(seed);
+  util::RngStream arrival_rng = seeds.stream(0);
+
+  // Generate the applications up front (deterministic). Their completion
+  // laws come from Stage I's evaluator against the planning spec, with the
+  // manager's 64 discretization pulses and 512-pulse budget; each (type,
+  // count) is built at its first query and memoized for the run. Every
+  // query reads a law's CDF at its own budget, so the evaluator's deadline
+  // (here the configured slack) is never read. Throws if the application
+  // spec's type count differs from the spec's.
+  workload::BatchSpec spec = config.application_spec;
+  spec.applications = config.applications;
+  const workload::Batch apps = workload::generate_batch(spec, seeds.child(1));
+  const ra::RobustnessEvaluator laws(apps, planning_spec, config.deadline_slack,
+                                     ra::RobustnessConfig{64, pmf::kDefaultMaxPulses});
   {
     obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
     if (metrics.enabled()) {
@@ -175,60 +176,42 @@ DynamicRunResult run_dynamic_manager(const sysmodel::Platform& platform,
                              admission_active && config.sim.flight.enabled &&
                                  obs::flight_recording_enabled());
 
-  const util::SeedSequence seeds(seed);
-  util::RngStream arrival_rng = seeds.stream(0);
-
-  // Generate the arrival stream up front (deterministic).
-  workload::BatchSpec spec = config.application_spec;
-  spec.applications = config.applications;
-  const workload::Batch apps = workload::generate_batch(spec, seeds.child(1));
-  std::vector<double> arrivals(config.applications);
+  DynamicRunResult result;
+  result.remap_triggered = remap_triggered;
+  result.realized_decrease = realized_decrease;
+  result.outcomes.assign(config.applications, DynamicOutcome{});
   double clock = 0.0;
-  for (std::size_t i = 0; i < config.applications; ++i) {
+  for (DynamicOutcome& outcome : result.outcomes) {
     clock += -config.mean_interarrival *
              std::log(std::max(1e-12, 1.0 - arrival_rng.uniform01()));
-    arrivals[i] = clock;
+    outcome.arrival_time = clock;
+    outcome.deadline_slack = config.deadline_slack;
   }
   // Per-application deadline slack. The spread knob draws from its own
   // stream, created only when armed, so spread == 0 (the default) leaves
   // every historical RNG stream untouched.
-  std::vector<double> slack(config.applications, config.deadline_slack);
   if (config.deadline_slack_spread > 0.0) {
     util::RngStream slack_rng = seeds.stream(2);
-    for (std::size_t i = 0; i < config.applications; ++i) {
+    for (DynamicOutcome& outcome : result.outcomes) {
       const double u = slack_rng.uniform01();
-      slack[i] = config.deadline_slack *
-                 (1.0 - config.deadline_slack_spread +
-                  2.0 * config.deadline_slack_spread * u);
+      outcome.deadline_slack = config.deadline_slack *
+                               (1.0 - config.deadline_slack_spread +
+                                2.0 * config.deadline_slack_spread * u);
     }
   }
 
-  // Event-driven manager: arrivals and completions interleave; completions
-  // free processors and trigger queued allocations.
+  // Event-driven manager on the simulation engine: arrivals and
+  // completions interleave; completions free processors and trigger
+  // queued allocations.
   std::vector<std::size_t> free_processors(platform.type_count());
   std::vector<std::size_t> full_capacity(platform.type_count());
   for (std::size_t j = 0; j < platform.type_count(); ++j) {
     free_processors[j] = platform.processors_of_type(j);
     full_capacity[j] = free_processors[j];
   }
-
-  struct Completion {
-    double time;
-    std::size_t app;
-    ra::GroupAssignment group;
-    bool operator>(const Completion& other) const { return time > other.time; }
-  };
-  std::priority_queue<Completion, std::vector<Completion>, std::greater<>> completions;
+  sim::Engine engine;
   std::deque<std::size_t> waiting;
-
-  DynamicRunResult result;
-  result.remap_triggered = remap_triggered;
-  result.realized_decrease = realized_decrease;
-  result.outcomes.assign(config.applications, DynamicOutcome{});
-  for (std::size_t i = 0; i < config.applications; ++i) {
-    result.outcomes[i].deadline_slack = slack[i];
-  }
-  std::size_t next_arrival = 0;
+  std::size_t running = 0;  // groups allocated and not yet completed
   double busy_processor_time = 0.0;
 
   // Admission state. shed_budget caches, per queued application, the
@@ -247,24 +230,26 @@ DynamicRunResult run_dynamic_manager(const sysmodel::Platform& platform,
   const bool count_metrics = admission_active && metrics.enabled();
 
   auto deadline_of = [&](std::size_t app_index) {
-    return arrivals[app_index] + slack[app_index];
+    const DynamicOutcome& outcome = result.outcomes[app_index];
+    return outcome.arrival_time + outcome.deadline_slack;
   };
 
-  auto step_ladder_to = [&](std::size_t new_tier, double now) {
-    flight.record(obs::FlightEventKind::kOverloadTierChanged, now, obs::kFlightMasterTrack,
-                  static_cast<std::int64_t>(new_tier), static_cast<std::int64_t>(tier));
+  auto step_ladder_to = [&](std::size_t new_tier) {
+    flight.record(obs::FlightEventKind::kOverloadTierChanged, engine.now(),
+                  obs::kFlightMasterTrack, static_cast<std::int64_t>(new_tier),
+                  static_cast<std::int64_t>(tier));
     tier = new_tier;
     ++stats.ladder_steps;
     stats.max_tier = std::max<std::uint64_t>(stats.max_tier, tier);
     if (count_metrics) metrics.add("cdsf.dynamic.ladder_steps");
   };
 
-  auto reject_arrival = [&](std::size_t app_index, double now, std::int64_t reason) {
+  auto reject_arrival = [&](std::size_t app_index, std::int64_t reason) {
     result.outcomes[app_index].disposition = DynamicOutcome::Disposition::kRejected;
     ++stats.rejected;
     ++stress_events;
-    flight.record(obs::FlightEventKind::kAdmissionRejected, now, obs::kFlightMasterTrack,
-                  static_cast<std::int64_t>(app_index), reason);
+    flight.record(obs::FlightEventKind::kAdmissionRejected, engine.now(),
+                  obs::kFlightMasterTrack, static_cast<std::int64_t>(app_index), reason);
     if (count_metrics) metrics.add("cdsf.dynamic.rejected");
   };
 
@@ -272,15 +257,15 @@ DynamicRunResult run_dynamic_manager(const sysmodel::Platform& platform,
   // budget fell below their shed_floor quantile — they could no longer
   // meet their deadline even starting NOW on an idle platform, so burning
   // processor time on them only starves the rest of the queue.
-  auto shed_stale = [&](double now) {
+  auto shed_stale = [&] {
     if (!admission_active || !(admission.shed_floor > 0.0)) return;
     for (auto it = waiting.begin(); it != waiting.end();) {
       const std::size_t app_index = *it;
-      if (deadline_of(app_index) - now < shed_budget[app_index]) {
+      if (deadline_of(app_index) - engine.now() < shed_budget[app_index]) {
         result.outcomes[app_index].disposition = DynamicOutcome::Disposition::kShed;
         ++stats.shed;
         ++stress_events;
-        flight.record(obs::FlightEventKind::kJobShed, now, obs::kFlightMasterTrack,
+        flight.record(obs::FlightEventKind::kJobShed, engine.now(), obs::kFlightMasterTrack,
                       static_cast<std::int64_t>(app_index),
                       static_cast<std::int64_t>(tier));
         if (count_metrics) metrics.add("cdsf.dynamic.shed");
@@ -291,13 +276,18 @@ DynamicRunResult run_dynamic_manager(const sysmodel::Platform& platform,
     }
   };
 
-  auto try_allocate = [&](std::size_t app_index, double now) -> bool {
-    const workload::Application& app = apps.at(app_index);
+  // A completion frees its group and drains the queue as far as the freed
+  // processors allow (head-of-line: the front blocks the rest, in FIFO or
+  // EDF order alike). Declared here because try_allocate schedules it.
+  std::function<void(ra::GroupAssignment)> complete;
+
+  auto try_allocate = [&](std::size_t app_index) -> bool {
+    const double now = engine.now();
     DynamicOutcome& outcome = result.outcomes[app_index];
     const double budget = deadline_of(app_index) - now;
     const bool coarse = admission_active &&
                         tier >= static_cast<std::size_t>(DegradationTier::kCoarseAllocation);
-    const Choice choice = choose_group(app, free_processors, planning_spec,
+    const Choice choice = choose_group(laws, app_index, free_processors,
                                        std::max(budget, 1.0), config.rule, coarse);
     if (!choice.found) return false;  // nothing free at all
 
@@ -346,13 +336,15 @@ DynamicRunResult run_dynamic_manager(const sysmodel::Platform& platform,
     }
 
     const sim::RunResult run = sim::simulate_loop(
-        app, choice.group.processor_type, choice.group.processors, runtime, config.technique,
-        sim_config, seeds.child(1000 + app_index));
+        apps.at(app_index), choice.group.processor_type, choice.group.processors, runtime,
+        config.technique, sim_config, seeds.child(1000 + app_index));
     result.speculation_total.accumulate(run.speculation);
     outcome.completion_time = now + run.makespan;
     outcome.met_deadline = outcome.completion_time <= deadline_of(app_index);
     busy_processor_time += static_cast<double>(choice.group.processors) * run.makespan;
-    completions.push(Completion{outcome.completion_time, app_index, choice.group});
+    ++running;
+    engine.schedule_at(outcome.completion_time,
+                       [&complete, group = choice.group] { complete(group); });
     if (admission_active) {
       service_ewma = service_seen ? 0.3 * run.makespan + 0.7 * service_ewma : run.makespan;
       service_seen = true;
@@ -360,9 +352,17 @@ DynamicRunResult run_dynamic_manager(const sysmodel::Platform& platform,
     return true;
   };
 
+  complete = [&](ra::GroupAssignment group) {
+    free_processors[group.processor_type] += group.processors;
+    --running;
+    result.horizon = engine.now();  // completions dispatch in time order
+    shed_stale();
+    while (!waiting.empty() && try_allocate(waiting.front())) waiting.pop_front();
+  };
+
   // Admission decision for one arrival under an active (non-accept-all)
   // policy. Mutates queue/stats; the accept-all path never calls this.
-  auto admit_arrival = [&](std::size_t app_index, double now) {
+  auto admit_arrival = [&](std::size_t app_index) {
     // Sustained-overload ladder: one EWMA update and at most one tier step
     // per arrival. The instant signal combines queue occupancy with the
     // rejection/shed pressure accumulated since the previous arrival.
@@ -375,21 +375,20 @@ DynamicRunResult run_dynamic_manager(const sysmodel::Platform& platform,
           admission.ladder_alpha * instant + (1.0 - admission.ladder_alpha) * overload_ewma;
       stress_events = 0;
       if (overload_ewma > admission.overload_threshold && tier < kMaxTier) {
-        step_ladder_to(tier + 1, now);
+        step_ladder_to(tier + 1);
       } else if (overload_ewma < admission.recover_threshold && tier > 0) {
-        step_ladder_to(tier - 1, now);
+        step_ladder_to(tier - 1);
       }
     }
 
     if (tier >= static_cast<std::size_t>(DegradationTier::kReject)) {
-      reject_arrival(app_index, now, kRejectLadder);
+      reject_arrival(app_index, kRejectLadder);
       return;
     }
 
-    const workload::Application& app = apps.at(app_index);
+    const double slack = result.outcomes[app_index].deadline_slack;
     const AdmissionEstimate estimate = make_estimate(
-        app, full_capacity, planning_spec, slack[app_index], config.rule,
-        admission.shed_floor);
+        laws, app_index, full_capacity, slack, config.rule, admission.shed_floor);
     shed_budget[app_index] = estimate.shed_budget;
 
     if (admission.policy == AdmissionPolicy::kRho2Aware) {
@@ -397,17 +396,16 @@ DynamicRunResult run_dynamic_manager(const sysmodel::Platform& platform,
       // platform completion law, evaluated against the slack that remains
       // after an estimated queue wait (realized-service EWMA x backlog,
       // spread over the groups currently running).
-      const double parallel_groups =
-          static_cast<double>(std::max<std::size_t>(1, completions.size()));
+      const double parallel_groups = static_cast<double>(std::max<std::size_t>(1, running));
       const double wait_estimate =
           service_seen
               ? service_ewma * static_cast<double>(waiting.size()) / parallel_groups
               : 0.0;
-      const double discounted_budget = slack[app_index] - wait_estimate;
+      const double discounted_budget = slack - wait_estimate;
       const double probability =
           discounted_budget > 0.0 ? estimate.completion.cdf(discounted_budget) : 0.0;
       if (probability < admission.admit_floor) {
-        reject_arrival(app_index, now, kRejectAdmitFloor);
+        reject_arrival(app_index, kRejectAdmitFloor);
         return;
       }
       // Marginal rho-impact on already-admitted work: if adding one more
@@ -420,19 +418,19 @@ DynamicRunResult run_dynamic_manager(const sysmodel::Platform& platform,
         for (const std::size_t queued_index : waiting) {
           if (deadline_of(queued_index) < deadline_of(starved)) starved = queued_index;
         }
-        const double budget_without = deadline_of(starved) - now - wait_estimate;
+        const double budget_without = deadline_of(starved) - engine.now() - wait_estimate;
         const double budget_with = budget_without - service_ewma;
         if (budget_without >= shed_budget[starved] && budget_with < shed_budget[starved]) {
-          reject_arrival(app_index, now, kRejectMarginal);
+          reject_arrival(app_index, kRejectMarginal);
           return;
         }
       }
     }
 
-    if (waiting.empty() && try_allocate(app_index, now)) return;  // admitted now
+    if (waiting.empty() && try_allocate(app_index)) return;  // admitted now
 
     if (waiting.size() >= admission.queue_capacity) {
-      reject_arrival(app_index, now, kRejectQueueFull);
+      reject_arrival(app_index, kRejectQueueFull);
       return;
     }
     // Enqueue per the configured order. EDF inserts before the first
@@ -452,34 +450,21 @@ DynamicRunResult run_dynamic_manager(const sysmodel::Platform& platform,
     stats.peak_queue_depth = std::max<std::uint64_t>(stats.peak_queue_depth, waiting.size());
   };
 
-  while (next_arrival < config.applications || !completions.empty() || !waiting.empty()) {
-    const double next_arrival_time =
-        next_arrival < config.applications ? arrivals[next_arrival] : 1e300;
-    const double next_completion_time = completions.empty() ? 1e300 : completions.top().time;
-
-    if (next_arrival_time <= next_completion_time) {
-      const std::size_t app_index = next_arrival++;
-      result.outcomes[app_index].arrival_time = arrivals[app_index];
-      ++stats.arrivals;
-      if (admission_active) {
-        shed_stale(arrivals[app_index]);
-        admit_arrival(app_index, arrivals[app_index]);
-      } else if (!waiting.empty() || !try_allocate(app_index, arrivals[app_index])) {
-        waiting.push_back(app_index);  // preserve FIFO order
-      }
-    } else {
-      const Completion done = completions.top();
-      completions.pop();
-      free_processors[done.group.processor_type] += done.group.processors;
-      result.horizon = std::max(result.horizon, done.time);
-      // Drain the queue as far as the freed resources allow (head-of-line:
-      // the front blocks the rest, in FIFO or EDF order alike).
-      shed_stale(done.time);
-      while (!waiting.empty() && try_allocate(waiting.front(), done.time)) {
-        waiting.pop_front();
-      }
+  auto arrive = [&](std::size_t app_index) {
+    ++stats.arrivals;
+    if (admission_active) {
+      shed_stale();
+      admit_arrival(app_index);
+    } else if (!waiting.empty() || !try_allocate(app_index)) {
+      waiting.push_back(app_index);  // preserve FIFO order
     }
+  };
+  // Every arrival is scheduled before any completion, so at equal times an
+  // arrival runs first (the engine breaks ties in scheduling order).
+  for (std::size_t i = 0; i < config.applications; ++i) {
+    engine.schedule_at(result.outcomes[i].arrival_time, [&arrive, i] { arrive(i); });
   }
+  engine.run();
 
   std::size_t hits = 0;
   std::size_t admitted_hits = 0;

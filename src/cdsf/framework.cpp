@@ -7,7 +7,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
-#include "pmf/ops.hpp"
 #include "util/rng.hpp"
 
 namespace cdsf::core {
@@ -267,11 +266,8 @@ std::string Framework::describe_plan(const ExecutionPlan& plan) const {
 
 double Framework::analytic_static_time(std::size_t app, ra::GroupAssignment group,
                                        const sysmodel::AvailabilitySpec& runtime) const {
-  const pmf::Pmf parallel = batch_.at(app).parallel_pmf(group.processor_type, group.processors,
-                                                        robustness_config_.discretization_pulses);
-  return pmf::apply_availability(parallel, runtime.of_type(group.processor_type),
-                                 robustness_config_.max_pulses)
-      .expectation();
+  return ra::RobustnessEvaluator(batch_, runtime, deadline_, robustness_config_)
+      .expected_completion(app, group);
 }
 
 }  // namespace cdsf::core

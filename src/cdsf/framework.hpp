@@ -144,7 +144,9 @@ class Framework {
 
   /// Analytic STATIC completion expectation for one application under a
   /// given runtime availability: E[T_par / a] — the paper's Figure 3/4
-  /// arithmetic.
+  /// arithmetic, read from a RobustnessEvaluator over `runtime` with this
+  /// framework's pulse budgets. Throws std::invalid_argument if `runtime`'s
+  /// type count differs from the batch's.
   [[nodiscard]] double analytic_static_time(std::size_t app, ra::GroupAssignment group,
                                             const sysmodel::AvailabilitySpec& runtime) const;
 

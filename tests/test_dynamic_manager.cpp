@@ -130,6 +130,19 @@ TEST_F(DynamicManagerTest, Validation) {
                std::invalid_argument);
 }
 
+TEST_F(DynamicManagerTest, RejectsApplicationsWithAnotherTypeCount) {
+  // Completion laws come from Stage I's evaluator, whose constructor
+  // rejects applications with more or fewer types than the availability
+  // spec.
+  DynamicConfig config = small_config();
+  config.application_spec.processor_types = 3;
+  EXPECT_THROW(run_dynamic_manager(platform_, reference_, reference_, config, 1),
+               std::invalid_argument);
+  config.application_spec.processor_types = 1;
+  EXPECT_THROW(run_dynamic_manager(platform_, reference_, reference_, config, 1),
+               std::invalid_argument);
+}
+
 TEST_F(DynamicManagerTest, RejectsMpiOnlyGrayKnobs) {
   // Payload corruption needs the MPI executor's checksum framing; the
   // idealized loop would silently ignore it and misreport a hardened run.
