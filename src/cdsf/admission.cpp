@@ -98,52 +98,6 @@ void validate_admission(const AdmissionConfig& config) {
 
 // -- arrival-storm chaos axis -------------------------------------------
 
-namespace {
-
-bool outcomes_equal(const DynamicOutcome& a, const DynamicOutcome& b) {
-  return a.arrival_time == b.arrival_time && a.deadline_slack == b.deadline_slack &&
-         a.start_time == b.start_time && a.completion_time == b.completion_time &&
-         a.group.processor_type == b.group.processor_type &&
-         a.group.processors == b.group.processors && a.probability == b.probability &&
-         a.met_deadline == b.met_deadline && a.disposition == b.disposition;
-}
-
-bool stats_equal(const AdmissionStats& a, const AdmissionStats& b) {
-  return a.arrivals == b.arrivals && a.admitted == b.admitted && a.queued == b.queued &&
-         a.rejected == b.rejected && a.shed == b.shed && a.ladder_steps == b.ladder_steps &&
-         a.max_tier == b.max_tier && a.peak_queue_depth == b.peak_queue_depth;
-}
-
-/// Bitwise equality of every deterministic result field — the repeat-run
-/// determinism invariant.
-bool results_equal(const DynamicRunResult& a, const DynamicRunResult& b) {
-  if (a.outcomes.size() != b.outcomes.size()) return false;
-  for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
-    if (!outcomes_equal(a.outcomes[i], b.outcomes[i])) return false;
-  }
-  return a.deadline_hit_rate == b.deadline_hit_rate &&
-         a.mean_queueing_delay == b.mean_queueing_delay &&
-         a.utilization == b.utilization && a.horizon == b.horizon &&
-         a.remap_triggered == b.remap_triggered &&
-         a.realized_decrease == b.realized_decrease &&
-         a.speculation_escalations == b.speculation_escalations &&
-         stats_equal(a.admission, b.admission) &&
-         a.admitted_hit_rate == b.admitted_hit_rate;
-}
-
-void accumulate(AdmissionStats& totals, const AdmissionStats& stats) {
-  totals.arrivals += stats.arrivals;
-  totals.admitted += stats.admitted;
-  totals.queued += stats.queued;
-  totals.rejected += stats.rejected;
-  totals.shed += stats.shed;
-  totals.ladder_steps += stats.ladder_steps;
-  totals.max_tier = std::max(totals.max_tier, stats.max_tier);
-  totals.peak_queue_depth = std::max(totals.peak_queue_depth, stats.peak_queue_depth);
-}
-
-}  // namespace
-
 ArrivalStormReport run_arrival_storm_campaign(const ArrivalStormConfig& config) {
   if (config.schedules == 0) {
     throw std::invalid_argument("run_arrival_storm_campaign: schedules must be >= 1");
@@ -207,7 +161,7 @@ ArrivalStormReport run_arrival_storm_campaign(const ArrivalStormConfig& config) 
     const DynamicRunResult repeat =
         run_dynamic_manager(platform, reference, runtime, dynamic, run_seed);
     ++report.schedules_run;
-    accumulate(report.totals, result.admission);
+    report.totals.accumulate(result.admission);
 
     auto violate = [&](const std::string& invariant, const std::string& detail) {
       report.violations.push_back(ArrivalStormViolation{
@@ -271,7 +225,7 @@ ArrivalStormReport run_arrival_storm_campaign(const ArrivalStormConfig& config) 
               "per-outcome dispositions disagree with AdmissionStats");
     }
 
-    if (!results_equal(result, repeat)) {
+    if (result != repeat) {
       violate("repeat_determinism", "re-run with the same seed produced a different result");
     }
   }

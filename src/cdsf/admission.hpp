@@ -30,6 +30,7 @@
 // byte-identical across repeated seeds and any thread count.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -145,8 +146,22 @@ struct AdmissionStats {
   std::uint64_t max_tier = 0;
   std::uint64_t peak_queue_depth = 0;
 
+  friend bool operator==(const AdmissionStats&, const AdmissionStats&) = default;
+
   [[nodiscard]] bool identity_holds() const noexcept {
     return arrivals == admitted + rejected + shed;
+  }
+
+  /// Adds one run's counters (max_tier and peak_queue_depth take the max).
+  void accumulate(const AdmissionStats& other) noexcept {
+    arrivals += other.arrivals;
+    admitted += other.admitted;
+    queued += other.queued;
+    rejected += other.rejected;
+    shed += other.shed;
+    ladder_steps += other.ladder_steps;
+    max_tier = std::max(max_tier, other.max_tier);
+    peak_queue_depth = std::max(peak_queue_depth, other.peak_queue_depth);
   }
 };
 

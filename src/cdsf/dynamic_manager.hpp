@@ -86,6 +86,8 @@ struct DynamicOutcome {
   double probability = 0.0;      // Pr(meets remaining slack) at allocation
   bool met_deadline = false;
   Disposition disposition = Disposition::kAdmitted;
+
+  friend bool operator==(const DynamicOutcome&, const DynamicOutcome&) = default;
 };
 
 /// Aggregates over one run.
@@ -121,6 +123,10 @@ struct DynamicRunResult {
   /// postmortem with anomaly kind "overload_shed" through the global
   /// obs::FlightSink.
   obs::FlightRecord flight;
+
+  /// Bitwise equality of every field — the repeat-run determinism
+  /// invariant compares whole results.
+  friend bool operator==(const DynamicRunResult&, const DynamicRunResult&) = default;
 };
 
 /// Runs the dynamic manager. Applications are generated deterministically

@@ -118,6 +118,8 @@ struct FlightEvent {
   std::uint32_t worker;     // worker index or kFlightMasterTrack
   std::int64_t a;
   std::int64_t b;
+
+  friend bool operator==(const FlightEvent&, const FlightEvent&) = default;
 };
 
 /// Per-worker state machine derived from the recorded events.
@@ -129,6 +131,8 @@ struct FlightWorkerSummary {
   std::uint64_t lost = 0;         // kChunkLost count (including evicted)
   std::string last_event;         // kind name of the newest event, "" if none
   double last_event_time = 0.0;
+
+  friend bool operator==(const FlightWorkerSummary&, const FlightWorkerSummary&) = default;
 };
 
 /// A finished, merged recording — stored on RunResult so postmortem
@@ -139,6 +143,8 @@ struct FlightRecord {
   std::vector<FlightWorkerSummary> workers;  // index == worker; last is master
   std::uint64_t total_recorded = 0;
   std::uint64_t total_dropped = 0;
+
+  friend bool operator==(const FlightRecord&, const FlightRecord&) = default;
 };
 
 /// What went wrong — attached to the postmortem dump.
