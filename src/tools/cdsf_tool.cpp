@@ -120,6 +120,14 @@ int write_text_file(const std::string& path, const std::string& text, const char
   return 0;
 }
 
+/// Reads a size-valued flag. A negative value throws "--<name> must be
+/// >= 0" instead of wrapping to a count near 2^64.
+std::size_t get_count(const util::Cli& cli, const std::string& name) {
+  const std::int64_t value = cli.get_int(name);
+  if (value < 0) throw std::invalid_argument("--" + name + " must be >= 0");
+  return static_cast<std::size_t>(value);
+}
+
 /// Writes the --metrics-out exposition (if requested) after the command
 /// body ran, so the snapshot covers everything the command did.
 int write_metrics_out(const util::Cli& cli) {
@@ -179,8 +187,7 @@ int cmd_scenario(int argc, char** argv) {
   add_common_flags(cli);
   if (!cli.parse(argc, argv)) return 0;
   apply_common_flags(cli);
-  const std::int64_t threads = cli.get_int("threads");
-  if (threads < 0) throw std::invalid_argument("--threads must be >= 0");
+  const std::size_t threads = get_count(cli, "threads");
   const std::string report_path = cli.get_string("report-json");
   const std::string trace_path = cli.get_string("trace-json");
   enable_metrics_if(!report_path.empty() || !trace_path.empty());
@@ -191,9 +198,9 @@ int cmd_scenario(int argc, char** argv) {
                                       : core::load_scenario(file);
   const core::Framework framework = core::make_framework(scenario);
   core::SolveOptions options;
-  options.replications = static_cast<std::size_t>(cli.get_int("replications"));
+  options.replications = get_count(cli, "replications");
   options.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  if (threads > 0) options.threads = static_cast<std::size_t>(threads);
+  if (threads > 0) options.threads = threads;
   // The scenario pipeline runs on the idealized executors, which have no
   // message channel / master process; say so instead of silently ignoring
   // the sections (the MPI executor — cdsf gantt --mpi, bench_failure_ablation
@@ -274,8 +281,7 @@ int cmd_preview(int argc, char** argv) {
 
   const dls::TechniqueId id = dls::technique_from_name(cli.get_string("technique"));
   const dls::ScheduleAnalysis analysis =
-      dls::analyze_schedule(id, cli.get_int("iterations"),
-                            static_cast<std::size_t>(cli.get_int("workers")));
+      dls::analyze_schedule(id, cli.get_int("iterations"), get_count(cli, "workers"));
   std::printf("%s on %lld iterations / %lld workers: %zu chunks, sizes %lld..%lld "
               "(mean %.1f, %zu distinct)\n",
               dls::technique_name(id).c_str(), static_cast<long long>(cli.get_int("iterations")),
@@ -491,8 +497,7 @@ int cmd_dynamic(int argc, char** argv) {
   const std::string file = cli.get_string("file");
   sysmodel::Platform platform = sysmodel::paper_platform();
   sysmodel::AvailabilitySpec reference = sysmodel::paper_case(1);
-  sysmodel::AvailabilitySpec runtime =
-      sysmodel::paper_case(static_cast<int>(cli.get_int("case")));
+  sysmodel::AvailabilitySpec runtime = reference;
   if (!file.empty()) {
     const core::Scenario scenario = core::load_scenario(file);
     platform = scenario.platform;
@@ -504,8 +509,10 @@ int cmd_dynamic(int argc, char** argv) {
         static_cast<std::size_t>(std::max<std::int64_t>(1, cli.get_int("case"))));
     runtime = scenario.cases[index - 1];
     config.admission = scenario.admission;
+  } else {
+    runtime = sysmodel::paper_case(static_cast<int>(cli.get_int("case")));
   }
-  config.applications = static_cast<std::size_t>(cli.get_int("applications"));
+  config.applications = get_count(cli, "applications");
   config.mean_interarrival = cli.get_double("interarrival");
   config.deadline_slack = cli.get_double("slack");
   config.deadline_slack_spread = cli.get_double("slack-spread");
@@ -524,7 +531,7 @@ int cmd_dynamic(int argc, char** argv) {
     if (!cli.get_string("admission").empty()) {
       admission.policy = core::admission_policy_from_name(cli.get_string("admission"));
     }
-    admission.queue_capacity = static_cast<std::size_t>(cli.get_int("queue-capacity"));
+    admission.queue_capacity = get_count(cli, "queue-capacity");
     if (cli.get_string("queue-order") == "edf") {
       admission.queue_order = core::QueueOrder::kEdf;
     } else if (cli.get_string("queue-order") != "fifo") {
@@ -606,13 +613,17 @@ int cmd_chaos(int argc, char** argv) {
   enable_metrics_if(!report_path.empty());
 
   sim::ChaosConfig config;
-  config.schedules = static_cast<std::size_t>(cli.get_int("schedules"));
+  config.schedules = get_count(cli, "schedules");
   config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  config.processors = static_cast<std::size_t>(cli.get_int("workers"));
+  config.processors = get_count(cli, "workers");
   config.parallel_iterations = cli.get_int("iterations");
-  config.max_failures = static_cast<std::size_t>(cli.get_int("max-failures"));
-  config.replications = static_cast<std::size_t>(cli.get_int("replications"));
-  config.threads = static_cast<std::size_t>(cli.get_int("campaign-threads"));
+  config.max_failures = get_count(cli, "max-failures");
+  config.replications = get_count(cli, "replications");
+  config.threads = get_count(cli, "campaign-threads");
+  // The storm and service axes run after the executor campaign; their
+  // counts are checked before it starts.
+  const std::size_t storm_schedules = get_count(cli, "storm-schedules");
+  const std::size_t service_schedules = get_count(cli, "service-schedules");
   config.include_mpi = !cli.get_flag("no-mpi");
   config.speculation = !cli.get_flag("no-speculation");
   config.channel_faults = !cli.get_flag("no-channel");
@@ -695,7 +706,7 @@ int cmd_chaos(int argc, char** argv) {
   const bool run_storm = !cli.get_flag("no-arrival-storm");
   if (run_storm) {
     core::ArrivalStormConfig storm_config;
-    storm_config.schedules = static_cast<std::size_t>(cli.get_int("storm-schedules"));
+    storm_config.schedules = storm_schedules;
     storm_config.seed = config.seed;
     storm = core::run_arrival_storm_campaign(storm_config);
     storm_passed = storm.passed();
@@ -723,7 +734,7 @@ int cmd_chaos(int argc, char** argv) {
   const bool run_service = !cli.get_flag("no-service");
   if (run_service) {
     svc::ServiceChaosConfig service_config;
-    service_config.schedules = static_cast<std::size_t>(cli.get_int("service-schedules"));
+    service_config.schedules = service_schedules;
     service_config.seed = config.seed;
     service = svc::run_service_chaos_campaign(service_config);
     service_passed = service.passed();
@@ -868,15 +879,15 @@ int cmd_serve(int argc, char** argv) {
   enable_metrics_if(!report_path.empty());
 
   svc::ServiceConfig config;
-  config.shards = static_cast<std::size_t>(cli.get_int("shards"));
+  config.shards = get_count(cli, "shards");
   config.solve_threads = static_cast<std::size_t>(threads);
-  config.replications = static_cast<std::size_t>(cli.get_int("replications"));
+  config.replications = get_count(cli, "replications");
   config.watchdog_timeout = cli.get_double("watchdog");
   config.hang_fraction = cli.get_double("hang");
   config.crash_at = cli.get_double("crash-at");
   config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   config.admission.policy = core::admission_policy_from_name(cli.get_string("admission"));
-  config.admission.queue_capacity = static_cast<std::size_t>(cli.get_int("queue-capacity"));
+  config.admission.queue_capacity = get_count(cli, "queue-capacity");
   const std::string journal = cli.get_string("journal");
   if (journal != "off") config.journal_path = journal;
   const bool resume = cli.get_flag("resume");
@@ -895,7 +906,7 @@ int cmd_serve(int argc, char** argv) {
                 recovered.torn ? " (torn tail discarded)" : "", stream.size());
   } else {
     svc::StreamConfig stream_config;
-    stream_config.requests = static_cast<std::size_t>(cli.get_int("requests"));
+    stream_config.requests = get_count(cli, "requests");
     stream_config.mean_interarrival = cli.get_double("mean-interarrival");
     stream_config.seed = config.seed;
     stream_config.poison_fraction = cli.get_double("poison");
