@@ -510,9 +510,9 @@ int main(int argc, char** argv) {
     report.set("techniques", std::move(json_techniques));
     if (cli.get_flag("speculate")) {
       report.set("_format",
-                 "Speculation ablation recorded in BENCH_baseline.json's self-documented "
-                 "style. Each 'speculation_ablation' entry holds the replication summary "
-                 "for the three mitigation arms {none, redispatch, speculation} under "
+                 "Speculation ablation, documented by this key and regenerated by "
+                 "'_command'. Each 'speculation_ablation' entry holds the replication "
+                 "summary for the three mitigation arms {none, redispatch, speculation} under "
                  "identical seeds; 'speculation.mean_makespan' must be strictly below "
                  "'redispatch.mean_makespan' for every dynamic technique "
                  "(docs/fault_tolerance.md).");

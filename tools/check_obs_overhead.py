@@ -24,7 +24,7 @@ import sys
 import tempfile
 
 # The benchmark whose inner loop carries the recorder; the name must stay
-# in sync with bench/bench_micro_sim.cpp and BENCH_baseline.json.
+# in sync with bench/bench_micro_sim.cpp.
 BENCH_FILTER = "BM_SimulateLoopApp3"
 REPETITIONS = 5
 BUDGET = 0.02  # documented recorder-on overhead budget (2%)
