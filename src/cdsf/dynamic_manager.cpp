@@ -148,26 +148,22 @@ DynamicRunResult run_dynamic_manager(const sysmodel::Platform& platform,
   const util::SeedSequence seeds(seed);
   util::RngStream arrival_rng = seeds.stream(0);
 
-  // Generate the applications up front (deterministic). Their completion
-  // laws come from Stage I's evaluator against the planning spec, with the
-  // manager's 64 discretization pulses and 512-pulse budget; each (type,
-  // count) is built at its first query and memoized for the run. Every
-  // query reads a law's CDF at its own budget, so the evaluator's deadline
-  // (here the configured slack) is never read. Throws if the application
-  // spec's type count differs from the spec's.
+  // Generate the applications up front (deterministic). One Stage I
+  // evaluator over the planning spec builds their completion laws, each
+  // (application, type, count) once, at its first query, with the
+  // manager's 64 discretization pulses and 512-pulse budget. Queries read
+  // a law's CDF at their own budget, so the evaluator's deadline is unused.
   workload::BatchSpec spec = config.application_spec;
   spec.applications = config.applications;
   const workload::Batch apps = workload::generate_batch(spec, seeds.child(1));
   const ra::RobustnessEvaluator laws(apps, planning_spec, config.deadline_slack,
                                      ra::RobustnessConfig{64, pmf::kDefaultMaxPulses});
-  {
-    obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
-    if (metrics.enabled()) {
-      metrics.add("cdsf.dynamic.runs");
-      metrics.add("cdsf.remap.checks");
-      if (remap_triggered) metrics.add("cdsf.remap.triggered");
-      metrics.observe("cdsf.remap.realized_decrease", realized_decrease);
-    }
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
+  if (metrics.enabled()) {
+    metrics.add("cdsf.dynamic.runs");
+    metrics.add("cdsf.remap.checks");
+    if (remap_triggered) metrics.add("cdsf.remap.triggered");
+    metrics.observe("cdsf.remap.realized_decrease", realized_decrease);
   }
   // Manager-level flight recording (master track only): admission
   // rejections, sheds, and ladder transitions. Structurally inert under
@@ -226,7 +222,6 @@ DynamicRunResult run_dynamic_manager(const sysmodel::Platform& platform,
   double overload_ewma = 0.0;
   std::uint64_t stress_events = 0;  // rejections + sheds since last arrival
 
-  obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
   const bool count_metrics = admission_active && metrics.enabled();
 
   auto deadline_of = [&](std::size_t app_index) {
@@ -311,10 +306,7 @@ DynamicRunResult run_dynamic_manager(const sysmodel::Platform& platform,
             std::max(sim_config.speculation.min_quantile,
                      sim_config.speculation.quantile * sim_config.speculation.escalation_factor);
       }
-      obs::MetricsRegistry& escalation_metrics = obs::MetricsRegistry::global();
-      if (escalation_metrics.enabled()) {
-        escalation_metrics.add("cdsf.dynamic.speculation_escalated");
-      }
+      if (metrics.enabled()) metrics.add("cdsf.dynamic.speculation_escalated");
     }
     if (admission_active) {
       // Degradation-ladder effects on the execution, cumulative by tier.

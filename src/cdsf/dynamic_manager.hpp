@@ -7,7 +7,10 @@
 // allocated immediately from whatever processors are currently free,
 // maximizing their own probability of meeting their arrival-relative
 // deadline; finished applications release their group. Arrivals finding
-// no satisfactory processors wait in a FIFO queue.
+// no satisfactory processors wait in a FIFO queue. Arrivals and
+// completions are events on a sim::Engine, and every success probability
+// reads a completion law from Stage I's ra::RobustnessEvaluator (one per
+// run, over the planning spec).
 //
 // Overload robustness (cdsf/admission.hpp): DynamicConfig::admission
 // selects an AdmissionPolicy — accept-all (the historical unbounded FIFO,
@@ -131,7 +134,8 @@ struct DynamicRunResult {
 
 /// Runs the dynamic manager. Applications are generated deterministically
 /// from `seed`; every stochastic component fans out from it. Throws
-/// std::invalid_argument on degenerate config.
+/// std::invalid_argument on degenerate config, including an application
+/// spec whose type count differs from the availability specs'.
 [[nodiscard]] DynamicRunResult run_dynamic_manager(const sysmodel::Platform& platform,
                                                    const sysmodel::AvailabilitySpec& reference,
                                                    const sysmodel::AvailabilitySpec& runtime,
