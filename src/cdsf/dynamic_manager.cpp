@@ -81,6 +81,18 @@ AdmissionEstimate make_estimate(const ra::RobustnessEvaluator& laws, std::size_t
   return estimate;
 }
 
+/// Hedges an at-risk execution: speculative re-execution on or, when it
+/// already is, the straggler quantile tightened by escalation_factor
+/// (floored at min_quantile).
+void escalate(sim::SimConfig::Speculation& speculation) {
+  if (!speculation.enabled) {
+    speculation.enabled = true;
+  } else {
+    speculation.quantile =
+        std::max(speculation.min_quantile, speculation.quantile * speculation.escalation_factor);
+  }
+}
+
 constexpr std::size_t kMaxTier = static_cast<std::size_t>(DegradationTier::kReject);
 
 /// Reason payload of a kAdmissionRejected flight event (field `b`).
@@ -199,12 +211,11 @@ DynamicRunResult run_dynamic_manager(const sysmodel::Platform& platform,
   // Event-driven manager on the simulation engine: arrivals and
   // completions interleave; completions free processors and trigger
   // queued allocations.
-  std::vector<std::size_t> free_processors(platform.type_count());
   std::vector<std::size_t> full_capacity(platform.type_count());
   for (std::size_t j = 0; j < platform.type_count(); ++j) {
-    free_processors[j] = platform.processors_of_type(j);
-    full_capacity[j] = free_processors[j];
+    full_capacity[j] = platform.processors_of_type(j);
   }
+  std::vector<std::size_t> free_processors = full_capacity;
   sim::Engine engine;
   std::deque<std::size_t> waiting;
   std::size_t running = 0;  // groups allocated and not yet completed
@@ -299,25 +310,13 @@ DynamicRunResult run_dynamic_manager(const sysmodel::Platform& platform,
       // The allocation itself is already at risk: hedge the execution with
       // speculative replication before the rho_2 cliff is even reached.
       ++result.speculation_escalations;
-      if (!sim_config.speculation.enabled) {
-        sim_config.speculation.enabled = true;
-      } else {
-        sim_config.speculation.quantile =
-            std::max(sim_config.speculation.min_quantile,
-                     sim_config.speculation.quantile * sim_config.speculation.escalation_factor);
-      }
+      escalate(sim_config.speculation);
       if (metrics.enabled()) metrics.add("cdsf.dynamic.speculation_escalated");
     }
     if (admission_active) {
       // Degradation-ladder effects on the execution, cumulative by tier.
       if (tier >= static_cast<std::size_t>(DegradationTier::kTightSpeculation)) {
-        if (!sim_config.speculation.enabled) {
-          sim_config.speculation.enabled = true;
-        } else {
-          sim_config.speculation.quantile = std::max(
-              sim_config.speculation.min_quantile,
-              sim_config.speculation.quantile * sim_config.speculation.escalation_factor);
-        }
+        escalate(sim_config.speculation);
       }
       if (tier >= static_cast<std::size_t>(DegradationTier::kLeanOverheads)) {
         sim_config.quarantine.audit_rate = 0.0;
