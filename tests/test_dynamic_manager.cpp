@@ -74,11 +74,7 @@ TEST_F(DynamicManagerTest, DeterministicGivenSeed) {
       run_dynamic_manager(platform_, reference_, reference_, small_config(), 11);
   const DynamicRunResult b =
       run_dynamic_manager(platform_, reference_, reference_, small_config(), 11);
-  ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
-  for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.outcomes[i].completion_time, b.outcomes[i].completion_time);
-    EXPECT_EQ(a.outcomes[i].group, b.outcomes[i].group);
-  }
+  EXPECT_TRUE(a == b);
 }
 
 TEST_F(DynamicManagerTest, SparseArrivalsStartImmediately) {
