@@ -1,10 +1,10 @@
 // Minimal discrete-event simulation core: a time-ordered event queue with
 // deterministic FIFO tie-breaking and a run loop.
 //
-// The loop executor (src/sim/loop_executor.hpp) and the scheduling
-// service's Phase A (src/svc/service.cpp) are built on this engine; the
-// engine itself is application-agnostic and reusable for other scheduling
-// studies.
+// The loop executor (src/sim/loop_executor.hpp), the dynamic manager
+// (src/cdsf/dynamic_manager.cpp) and the scheduling service's Phase A
+// (src/svc/service.cpp) are built on this engine; the engine itself is
+// application-agnostic and reusable for other scheduling studies.
 #pragma once
 
 #include <cstdint>
