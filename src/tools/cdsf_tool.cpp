@@ -467,7 +467,9 @@ int cmd_dynamic(int argc, char** argv) {
   cli.add_double("interarrival", 800.0, "mean interarrival time");
   cli.add_double("slack", 7000.0, "per-application deadline slack");
   cli.add_string("technique", "AF", "Stage II technique");
-  cli.add_int("case", 3, "runtime availability case (1-4); reference is case 1");
+  cli.add_int("case", 3,
+              "runtime availability case (1-4, or with --file the scenario's own, clamped); "
+              "reference is case 1");
   cli.add_flag("remap", "plan against the realized availability when it degrades past rho2");
   cli.add_double("rho2", 0.1, "certified availability-decrease radius for --remap");
   cli.add_int("seed", 8, "master seed");
