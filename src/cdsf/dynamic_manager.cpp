@@ -53,24 +53,26 @@ Choice choose_group(const ra::RobustnessEvaluator& laws, std::size_t app,
   return best;
 }
 
-/// Arrival-time admission estimate: the best achievable completion law on
-/// an IDLE platform (every processor of the chosen type free) — the upper
-/// bound the admission test discounts by the backlog, and the law whose
-/// shed_floor-quantile prices deadline-aware shedding.
+/// Arrival-time admission estimate: the group with the best achievable
+/// completion law on an IDLE platform (every processor of the chosen type
+/// free) — the upper bound the admission test discounts by the backlog, and
+/// the law whose shed_floor-quantile prices deadline-aware shedding. It
+/// holds the group, not the law: deciding the application forgets its laws.
 struct AdmissionEstimate {
-  const pmf::Pmf& completion;  // completion law of the best full-platform group
-  double shed_budget = 0.0;    // smallest budget with Pr(success) >= shed_floor
+  ra::GroupAssignment group;  // best full-platform group
+  double shed_budget = 0.0;   // smallest budget with Pr(success) >= shed_floor
 };
 
 AdmissionEstimate make_estimate(const ra::RobustnessEvaluator& laws, std::size_t app,
                                 const std::vector<std::size_t>& full_capacity, double slack,
                                 ra::CountRule rule, double shed_floor) {
   const Choice best = choose_group(laws, app, full_capacity, std::max(slack, 1.0), rule, false);
-  AdmissionEstimate estimate{laws.completion_pmf(app, best.group), 0.0};
+  AdmissionEstimate estimate{best.group, 0.0};
   if (shed_floor > 0.0) {
+    const pmf::Pmf& completion = laws.completion_pmf(app, best.group);
     double cumulative = 0.0;
-    estimate.shed_budget = estimate.completion.max();
-    for (const pmf::Pulse& pulse : estimate.completion.pulses()) {
+    estimate.shed_budget = completion.max();
+    for (const pmf::Pulse& pulse : completion.pulses()) {
       cumulative += pulse.probability;
       if (cumulative >= shed_floor) {
         estimate.shed_budget = pulse.value;
@@ -165,6 +167,8 @@ DynamicRunResult run_dynamic_manager(const sysmodel::Platform& platform,
   // (application, type, count) once, at its first query, with the
   // manager's 64 discretization pulses and 512-pulse budget. Queries read
   // a law's CDF at their own budget, so the evaluator's deadline is unused.
+  // An application's laws are forgotten once it is allocated, rejected or
+  // shed, so the memo holds only the applications still in play.
   workload::BatchSpec spec = config.application_spec;
   spec.applications = config.applications;
   const workload::Batch apps = workload::generate_batch(spec, seeds.child(1));
@@ -251,6 +255,7 @@ DynamicRunResult run_dynamic_manager(const sysmodel::Platform& platform,
   };
 
   auto reject_arrival = [&](std::size_t app_index, std::int64_t reason) {
+    laws.forget(app_index, platform, config.rule);
     result.outcomes[app_index].disposition = DynamicOutcome::Disposition::kRejected;
     ++stats.rejected;
     ++stress_events;
@@ -268,6 +273,7 @@ DynamicRunResult run_dynamic_manager(const sysmodel::Platform& platform,
     for (auto it = waiting.begin(); it != waiting.end();) {
       const std::size_t app_index = *it;
       if (deadline_of(app_index) - engine.now() < shed_budget[app_index]) {
+        laws.forget(app_index, platform, config.rule);
         result.outcomes[app_index].disposition = DynamicOutcome::Disposition::kShed;
         ++stats.shed;
         ++stress_events;
@@ -297,6 +303,7 @@ DynamicRunResult run_dynamic_manager(const sysmodel::Platform& platform,
                                        std::max(budget, 1.0), config.rule, coarse);
     if (!choice.found) return false;  // nothing free at all
 
+    laws.forget(app_index, platform, config.rule);
     free_processors[choice.group.processor_type] -= choice.group.processors;
     outcome.start_time = now;
     outcome.group = choice.group;
@@ -394,7 +401,9 @@ DynamicRunResult run_dynamic_manager(const sysmodel::Platform& platform,
               : 0.0;
       const double discounted_budget = slack - wait_estimate;
       const double probability =
-          discounted_budget > 0.0 ? estimate.completion.cdf(discounted_budget) : 0.0;
+          discounted_budget > 0.0
+              ? laws.completion_pmf(app_index, estimate.group).cdf(discounted_budget)
+              : 0.0;
       if (probability < admission.admit_floor) {
         reject_arrival(app_index, kRejectAdmitFloor);
         return;

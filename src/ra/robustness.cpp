@@ -94,6 +94,15 @@ void RobustnessEvaluator::precompute(const sysmodel::Platform& platform, CountRu
   }
 }
 
+void RobustnessEvaluator::forget(std::size_t app, const sysmodel::Platform& platform,
+                                 CountRule rule) const {
+  for (std::size_t type = 0; type < platform.type_count(); ++type) {
+    for (const std::size_t count : candidate_counts(platform.processors_of_type(type), rule)) {
+      cache_.erase(Key{app, type, count});
+    }
+  }
+}
+
 const pmf::Pmf& RobustnessEvaluator::completion_pmf(std::size_t app, GroupAssignment group) const {
   return completion(app, group).pmf;
 }

@@ -69,6 +69,12 @@ class RobustnessEvaluator {
   /// if the platform's type count differs from the availability spec's.
   void precompute(const sysmodel::Platform& platform, CountRule rule, std::size_t threads) const;
 
+  /// Drops `app`'s memoized completions among the keys precompute(platform,
+  /// rule, ...) would build; references to them dangle, and a later query
+  /// rebuilds them bit-identically. An online caller forgets each
+  /// application once it is decided, so the memo holds only those in play.
+  void forget(std::size_t app, const sysmodel::Platform& platform, CountRule rule) const;
+
   /// Pr(application completes <= deadline) under `group`: the memoized
   /// completion_pmf(app, group).cdf(deadline()).
   [[nodiscard]] double application_probability(std::size_t app, GroupAssignment group) const;

@@ -232,6 +232,36 @@ TEST(RobustnessEvaluator, PrecomputeHonoursCancellationAndValidatesThePlatform) 
                std::invalid_argument);
 }
 
+TEST(RobustnessEvaluator, ForgetDropsOnlyThatApplicationsCompletions) {
+  const auto example = make_paper_example();
+  const sysmodel::AvailabilitySpec availability =
+      test::leveled_availability(example.platform.type_count(), 64);
+  const RobustnessEvaluator evaluator(example.batch, availability, example.deadline);
+  evaluator.precompute(example.platform, CountRule::kPowerOfTwo, 1);
+  const pmf::Pmf* kept = &evaluator.completion_pmf(2, {1, 8});
+  const pmf::Pmf before = evaluator.completion_pmf(1, {1, 8});
+  const double probability = evaluator.application_probability(1, {1, 8});
+  obs::PhaseProfiler& profiler = obs::PhaseProfiler::global();
+  profiler.reset();
+  profiler.set_enabled(true);
+  evaluator.forget(1, example.platform, CountRule::kPowerOfTwo);
+  evaluator.precompute(example.platform, CountRule::kPowerOfTwo, 1);
+  const std::int64_t rebuilt = profiler.calls(obs::Phase::kPmfConvolution);
+  profiler.set_enabled(false);
+  profiler.reset();
+  EXPECT_EQ(rebuilt, 7);  // application 1's 3 + 4 candidate counts
+  EXPECT_EQ(&evaluator.completion_pmf(2, {1, 8}), kept);
+  // A forgotten completion is rebuilt bit for bit.
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  const pmf::Pmf& after = evaluator.completion_pmf(1, {1, 8});
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    ASSERT_EQ(bits(after.value(i)), bits(before.value(i))) << "i=" << i;
+    ASSERT_EQ(bits(after.probability(i)), bits(before.probability(i))) << "i=" << i;
+  }
+  EXPECT_EQ(bits(evaluator.application_probability(1, {1, 8})), bits(probability));
+}
+
 TEST(RobustnessEvaluator, TightDeadlineGivesZeroLooseGivesOne) {
   const auto example = make_paper_example();
   const RobustnessEvaluator tight(example.batch, example.cases.front(), 1.0);
