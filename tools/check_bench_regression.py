@@ -28,10 +28,14 @@ so EVERY recorded baseline (speculation, gray failure, online overload,
 service storm) is gated, not just the one wired into the workflow by
 hand.
 
-Only numeric leaves whose key matches GATED_KEY_PATTERN are compared (the
-curve values, not counters or configuration echoes). Exit status 0 when
-every gated leaf matches, 1 on any mismatch, a schema mismatch, or a
-missing/extra gated leaf. Requires only the Python standard library.
+Numeric leaves whose key matches GATED_KEY_PATTERN (the curve values, not
+configuration echoes) are compared within the tolerance. The work counters
+of an embedded metrics snapshot (`metrics.counters`: runs, chunks,
+iterations, ...) are integers a fixed seed reproduces, so each one is
+compared exactly, and a counter on one side only fails too. Exit status 0
+when every gated leaf and counter matches, 1 on any mismatch, a schema
+mismatch, or a missing/extra gated leaf or counter. Requires only the
+Python standard library.
 """
 
 import argparse
@@ -65,6 +69,11 @@ def numeric_leaves(node, path=""):
 
 def gated(leaves):
     return {path: value for path, value in leaves if GATED_KEY_PATTERN.search(path)}
+
+
+def counters(doc):
+    """The embedded metrics snapshot's work counters, name -> value."""
+    return doc.get("metrics", {}).get("counters", {})
 
 
 def compare_files(recorded_path: str, fresh_path: str) -> int:
@@ -109,13 +118,23 @@ def compare_files(recorded_path: str, fresh_path: str) -> int:
                   file=sys.stderr)
             failed = True
 
+    recorded_counters = counters(recorded)
+    fresh_counters = counters(fresh)
+    for name in sorted(recorded_counters.keys() | fresh_counters.keys()):
+        want = recorded_counters.get(name)
+        got = fresh_counters.get(name)
+        if want != got:
+            print(f"  metrics.counters.{name}: recorded {want!r} vs fresh "
+                  f"{got!r}", file=sys.stderr)
+            failed = True
+
     if failed:
         print(f"check_bench_regression: {fresh_path} diverges from the "
               f"recorded baseline {recorded_path} -- fix the regression or "
               f"re-record the baseline in the same PR", file=sys.stderr)
         return 1
     print(f"check_bench_regression: {len(recorded_leaves)} gated leaves "
-          f"match {recorded_path}")
+          f"and {len(recorded_counters)} counters match {recorded_path}")
     return 0
 
 
