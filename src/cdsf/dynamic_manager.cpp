@@ -185,8 +185,7 @@ DynamicRunResult run_dynamic_manager(const sysmodel::Platform& platform,
   // rejections, sheds, and ladder transitions. Structurally inert under
   // accept-all, so default runs stay byte-identical.
   obs::FlightRecorder flight(0, config.sim.flight.track_capacity,
-                             admission_active && config.sim.flight.enabled &&
-                                 obs::flight_recording_enabled());
+                             admission_active && obs::flight_recording_enabled());
 
   DynamicRunResult result;
   result.remap_triggered = remap_triggered;

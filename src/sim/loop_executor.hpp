@@ -360,8 +360,8 @@ struct SimConfig {
   /// on. The CDSF_FLIGHT environment variable (obs::flight_recording_
   /// enabled) is the process-wide kill switch used by the overhead bench.
   struct Flight {
-    bool enabled = true;
-    /// Ring capacity per worker track (one extra track for the master).
+    /// Ring capacity per worker track (one extra track for the master);
+    /// 0 turns the recorder off.
     std::size_t track_capacity = 64;
     /// Deadline for the deadline-miss anomaly trigger; 0 disables it.
     /// Framework::run_stage_two / execute_plan and the replicated drivers

@@ -390,8 +390,7 @@ std::int64_t lifecycle_value(obs::FlightEventKind kind, std::int64_t a, std::int
 EventWriter::EventWriter(const SimConfig& config, std::size_t workers, RunResult& result)
     : trace_(config.collect_trace),
       result_(result),
-      flight_(workers, config.flight.track_capacity,
-              config.flight.enabled && obs::flight_recording_enabled()) {}
+      flight_(workers, config.flight.track_capacity, obs::flight_recording_enabled()) {}
 
 void EventWriter::list(obs::FlightEventKind kind, double time, std::size_t w, std::int64_t a,
                        std::int64_t b) {

@@ -139,7 +139,7 @@ TEST(FlightRecorder, RecorderIsStructurallyInert) {
   sim::SimConfig with_flight;
   with_flight.collect_trace = true;
   sim::SimConfig without_flight = with_flight;
-  without_flight.flight.enabled = false;
+  without_flight.flight.track_capacity = 0;
 
   const sim::RunResult on =
       sim::simulate_loop(app, 0, 4, full, dls::TechniqueId::kFAC, with_flight, 5);
