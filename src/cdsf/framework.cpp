@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
-#include "obs/profile.hpp"
 #include "util/rng.hpp"
 
 namespace cdsf::core {
@@ -48,20 +47,16 @@ StageOneResult Framework::describe_allocation(const ra::Allocation& allocation,
 
 StageOneResult Framework::run_stage_one(const ra::Heuristic& heuristic, ra::CountRule rule,
                                         std::size_t threads) const {
-  obs::ScopedTimer timer(obs::MetricsRegistry::global(), "cdsf.stage1.seconds");
-  // The completion table first, on `threads` threads, so the search below
-  // reads memoized entries only; the table's PMF phases sit outside the
-  // enumeration phase.
-  evaluator_.precompute(platform_, rule, threads);
-  ra::Allocation allocation = [&] {
-    // The enumeration phase wraps the heuristic's whole search; PMF
-    // convolution/compaction nested inside report as their own phases
-    // (the profiler subtracts child time from the parent).
-    obs::PhaseTimer phase(obs::Phase::kRaEnumeration);
-    return heuristic.allocate(evaluator_, platform_, rule);
-  }();
-  StageOneResult result = describe_allocation(std::move(allocation), heuristic.name());
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
+  obs::ScopedTimer timer(metrics, "cdsf.stage1.seconds");
+  // The completion table first, on `threads` threads, so the search below
+  // reads memoized entries only.
+  {
+    obs::ScopedTimer table_timer(metrics, "cdsf.stage1.table.seconds");
+    evaluator_.precompute(platform_, rule, threads);
+  }
+  StageOneResult result =
+      describe_allocation(heuristic.allocate(evaluator_, platform_, rule), heuristic.name());
   if (metrics.enabled()) {
     metrics.add("cdsf.stage1.allocations");
     metrics.observe("cdsf.stage1.phi1", result.phi1);
@@ -116,12 +111,8 @@ StageTwoResult Framework::run_stage_two(const ra::Allocation& allocation,
                       seeds.child(app * 64 + k)});
     }
   }
-  std::vector<sim::ReplicationSummary> summaries;
-  {
-    obs::PhaseTimer phase(obs::Phase::kMonteCarlo);
-    summaries = sim::simulate_replicated(arms, runtime, sim_config, config.replications,
-                                         deadline_, config.threads);
-  }
+  std::vector<sim::ReplicationSummary> summaries = sim::simulate_replicated(
+      arms, runtime, sim_config, config.replications, deadline_, config.threads);
 
   for (std::size_t app = 0; app < batch_.size(); ++app) {
     double best_meeting = std::numeric_limits<double>::infinity();

@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
-#include "obs/profile.hpp"
 
 namespace cdsf::obs {
 
@@ -285,14 +284,6 @@ void maybe_attach_metrics(Json& doc) {
   if (MetricsRegistry::global().enabled()) doc.set("metrics", metrics_json());
 }
 
-/// Appends the Stage I phase breakdown under "stage1_profile" when the
-/// self-profiler is enabled and has accumulated any time.
-void maybe_attach_stage1_profile(Json& doc) {
-  if (!PhaseProfiler::global().enabled()) return;
-  Json profile = PhaseProfiler::global().to_json();
-  if (!profile.is_null()) doc.set("stage1_profile", std::move(profile));
-}
-
 }  // namespace
 
 Json make_run_report(const std::string& label, const sim::RunResult& run, double deadline) {
@@ -322,7 +313,6 @@ Json make_scenario_report(const core::Framework& framework,
     per_case.push_back(to_json(stage_two, framework.deadline()));
   }
   doc.set("cases", std::move(per_case));
-  maybe_attach_stage1_profile(doc);
   maybe_attach_metrics(doc);
   return doc;
 }

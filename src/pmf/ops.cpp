@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "obs/profile.hpp"
-
 namespace cdsf::pmf {
 
 namespace {
@@ -27,7 +25,6 @@ std::vector<Pulse> product_pulses(const Pmf& x, const Pmf& y,
 
 Pmf combine(const Pmf& x, const Pmf& y, const std::function<double(double, double)>& f,
             std::size_t max_pulses) {
-  obs::PhaseTimer phase(obs::Phase::kPmfConvolution);
   return Pmf::from_pulses(product_pulses(x, y, f)).compacted(max_pulses);
 }
 

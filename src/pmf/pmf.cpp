@@ -8,8 +8,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "obs/profile.hpp"
-
 namespace cdsf::pmf {
 
 namespace {
@@ -177,7 +175,6 @@ Pmf Pmf::shifted(double offset) const {
 Pmf Pmf::compacted(std::size_t max_pulses) const {
   if (max_pulses == 0) throw std::invalid_argument("Pmf::compacted: max_pulses must be > 0");
   if (pulses_.size() <= max_pulses) return *this;
-  obs::PhaseTimer phase(obs::Phase::kPmfCompaction);
 
   // Greedy merging on the sorted pulse list: each step merges the adjacent
   // pair with the smallest cost, the leftmost pair on ties. Cost of merging

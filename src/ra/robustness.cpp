@@ -68,8 +68,8 @@ RobustnessEvaluator::Completion RobustnessEvaluator::compute(const Key& key) con
   return Completion{std::move(completion_time), probability, expectation};
 }
 
-void RobustnessEvaluator::precompute(const sysmodel::Platform& platform, CountRule rule,
-                                     std::size_t threads) const {
+std::size_t RobustnessEvaluator::precompute(const sysmodel::Platform& platform, CountRule rule,
+                                            std::size_t threads) const {
   if (platform.type_count() != availability_->type_count()) {
     throw std::invalid_argument("precompute: platform/availability type count mismatch");
   }
@@ -92,6 +92,7 @@ void RobustnessEvaluator::precompute(const sysmodel::Platform& platform, CountRu
   for (std::size_t i = 0; i < missing.size(); ++i) {
     cache_.emplace(missing[i], std::move(*computed[i]));
   }
+  return missing.size();
 }
 
 void RobustnessEvaluator::forget(std::size_t app, const sysmodel::Platform& platform,

@@ -65,9 +65,11 @@ class RobustnessEvaluator {
   /// computed on `threads` threads (util::parallel_for_index) and inserted
   /// from the calling thread, bit-identical to the lazy queries' entries at
   /// any thread count. Each computation polls the cancel token first, so a
-  /// cancelled token throws util::Cancelled. Throws std::invalid_argument
-  /// if the platform's type count differs from the availability spec's.
-  void precompute(const sysmodel::Platform& platform, CountRule rule, std::size_t threads) const;
+  /// cancelled token throws util::Cancelled. Returns the number of
+  /// completions it built. Throws std::invalid_argument if the platform's
+  /// type count differs from the availability spec's.
+  std::size_t precompute(const sysmodel::Platform& platform, CountRule rule,
+                         std::size_t threads) const;
 
   /// Drops `app`'s memoized completions among the keys precompute(platform,
   /// rule, ...) would build; references to them dangle, and a later query

@@ -40,7 +40,6 @@
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/openmetrics.hpp"
-#include "obs/profile.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "sim/chaos.hpp"
@@ -67,15 +66,10 @@ void apply_log_flag(const util::Cli& cli) {
   if (!level.empty()) util::set_log_level(util::parse_log_level(level));
 }
 
-/// Turns the global metrics registry (and the Stage I phase profiler,
-/// whose breakdown rides in cdsf.scenario_report) on when any
-/// observability output was requested, so the emitted report embeds a
-/// metrics snapshot.
+/// Turns the global metrics registry on when any observability output was
+/// requested, so the emitted report embeds a metrics snapshot.
 void enable_metrics_if(bool wanted) {
-  if (wanted) {
-    obs::MetricsRegistry::global().set_enabled(true);
-    obs::PhaseProfiler::global().set_enabled(true);
-  }
+  if (wanted) obs::MetricsRegistry::global().set_enabled(true);
 }
 
 /// --metrics-out / --postmortem ride on every subcommand next to

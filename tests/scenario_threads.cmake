@@ -1,8 +1,7 @@
 # Runs `cdsf scenario` at the default thread count and at --threads 1 and 3,
 # each in its own directory under WORK_DIR, and fails unless every run prints
-# the same text, writes the same --report-json once its wall-clock parts (the
-# metrics snapshot and stage1_profile) are removed, and writes the same
-# postmortem files.
+# the same text, writes the same --report-json once its wall-clock part (the
+# metrics snapshot) is removed, and writes the same postmortem files.
 #
 #   cmake -DCDSF=<path to cdsf> -DWORK_DIR=<dir> -P scenario_threads.cmake
 cmake_minimum_required(VERSION 3.19)  # string(JSON)
@@ -26,7 +25,6 @@ foreach(threads default 1 3)
 
   file(READ "${dir}/report.json" report)
   string(JSON report REMOVE "${report}" metrics)
-  string(JSON report REMOVE "${report}" stage1_profile)
 
   file(GLOB names RELATIVE "${dir}" "${dir}/flight_postmortem_*.json")
   list(SORT names)

@@ -194,7 +194,9 @@ TEST(Framework, ConstructionValidation) {
 TEST(Framework, StageOnePhi1IsObservedOncePerAllocationUnderConcurrentSolves) {
   // Two frameworks whose Stage I allocations differ in phi_1 run Stage I on
   // two threads at once: the metric must keep both values, not whichever
-  // thread finished last.
+  // thread finished last. The completion-table timer runs inside each
+  // solve's Stage I timer, so it observes once per solve and sums to no
+  // more than Stage I.
   const PaperExample example = make_paper_example();
   const Framework tight(example.batch, example.platform, example.cases.front(),
                         example.deadline);
@@ -219,6 +221,12 @@ TEST(Framework, StageOnePhi1IsObservedOncePerAllocationUnderConcurrentSolves) {
     EXPECT_EQ(phi1->second.count, 2u) << "repeat " << repeat;
     EXPECT_EQ(phi1->second.min, std::min(phi_tight, phi_loose)) << "repeat " << repeat;
     EXPECT_EQ(phi1->second.max, std::max(phi_tight, phi_loose)) << "repeat " << repeat;
+    const auto stage1 = snapshot.histograms.find("cdsf.stage1.seconds");
+    const auto table = snapshot.histograms.find("cdsf.stage1.table.seconds");
+    ASSERT_NE(stage1, snapshot.histograms.end()) << "repeat " << repeat;
+    ASSERT_NE(table, snapshot.histograms.end()) << "repeat " << repeat;
+    EXPECT_EQ(table->second.count, 2u) << "repeat " << repeat;
+    EXPECT_LE(table->second.sum, stage1->second.sum) << "repeat " << repeat;
   }
   metrics.reset();
   metrics.set_enabled(was_enabled);
