@@ -46,8 +46,8 @@ import subprocess
 import sys
 import tempfile
 
-# Leaves that carry the service-level curve; everything else (config echo,
-# schedule counts) is structural and compared for presence only.
+# Leaves that carry the service-level curve. Other leaves (config echoes,
+# schedule counts) are not compared, except the metrics counters below.
 GATED_KEY_PATTERN = re.compile(
     r"(hit_rate|shed_rate|reject_rate|utilization|queueing_delay|median|mean)"
 )
