@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "cdsf/paper_example.hpp"
 #include "ra/heuristics.hpp"
 #include "test_support.hpp"
@@ -198,6 +203,90 @@ TEST(HeuristicsRandom, AnnealingIsDeterministicGivenSeed) {
   const Allocation b =
       SimulatedAnnealing(options).allocate(evaluator, example.platform, CountRule::kPowerOfTwo);
   EXPECT_EQ(a, b);
+}
+
+// ------------------------------------------------------- recorded digests --
+
+/// Folds the (type, count) words of every group of `allocation` into the
+/// FNV-1a hash `hash`.
+void hash_allocation(std::uint64_t& hash, const Allocation& allocation) {
+  for (const GroupAssignment& group : allocation.groups()) {
+    for (const std::uint64_t word : {std::uint64_t{group.processor_type},
+                                     std::uint64_t{group.processors}}) {
+      for (int byte = 0; byte < 8; ++byte) {
+        hash ^= (word >> (8 * byte)) & 0xffU;
+        hash *= 1099511628211ULL;
+      }
+    }
+  }
+}
+
+// Output oracle for Stage I: the allocation each heuristic returns on 24
+// seeded instances (1-3 types, 2-5 applications, every third batch ending
+// in a copy of its first application, both count rules, deadlines from
+// phi_1 = 0 to phi_1 = 1), hashed per heuristic across the instances and
+// compared against digests recorded before the searches shared one walk
+// and one allocation order. A refactor must keep every digest; a
+// deliberate behaviour change re-records them and says why.
+// BranchAndBoundOptimal is left out: BranchAndBound.MatchesExhaustive*
+// pins it to ExhaustiveOptimal.
+TEST(Heuristics, OutputsMatchRecordedDigests) {
+  const std::vector<pmf::Pmf> laws = {
+      pmf::Pmf::from_pulses({{0.6, 0.5}, {1.0, 0.5}}),
+      pmf::Pmf::from_pulses({{0.3, 0.25}, {0.6, 0.25}, {1.0, 0.5}}),
+      pmf::Pmf::from_pulses({{0.5, 0.3}, {0.8, 0.7}})};
+  const std::vector<sysmodel::Platform> platforms = {
+      sysmodel::Platform({{"a", 6}}),
+      sysmodel::Platform({{"a", 4}, {"b", 8}}),
+      sysmodel::Platform({{"a", 2}, {"b", 4}, {"c", 8}})};
+  const std::vector<double> deadlines = {4000.0, 6000.0, 8000.0, 10000.0, 1e9};
+
+  std::vector<std::unique_ptr<Heuristic>> heuristics = all_heuristics(true);
+  heuristics.push_back(std::make_unique<BestOfPortfolio>());
+  std::vector<std::uint64_t> digests(heuristics.size(), 14695981039346656037ULL);
+  std::size_t instance = 0;
+  for (std::size_t types = 1; types <= 3; ++types) {
+    const sysmodel::AvailabilitySpec availability(
+        "pinned", std::vector<pmf::Pmf>(laws.begin(),
+                                        laws.begin() + static_cast<std::ptrdiff_t>(types)));
+    for (std::size_t apps = 2; apps <= 5; ++apps) {
+      for (const CountRule rule : {CountRule::kPowerOfTwo, CountRule::kAny}) {
+        workload::BatchSpec spec;
+        spec.applications = apps;
+        spec.processor_types = types;
+        spec.min_mean_time = 2000.0;
+        spec.max_mean_time = 12000.0;
+        std::vector<workload::Application> applications =
+            workload::generate_batch(spec, instance + 1).applications();
+        if (instance % 3 == 0) applications.back() = applications.front();
+        const workload::Batch batch(std::move(applications));
+        const RobustnessEvaluator evaluator(batch, availability,
+                                            deadlines[instance % deadlines.size()]);
+        for (std::size_t h = 0; h < heuristics.size(); ++h) {
+          hash_allocation(digests[h],
+                          heuristics[h]->allocate(evaluator, platforms[types - 1], rule));
+        }
+        ++instance;
+      }
+    }
+  }
+
+  const std::vector<std::pair<std::string, std::uint64_t>> recorded = {
+      {"NaiveLoadBalance", 0x3961e8c30aa6d626ULL},
+      {"ExhaustiveOptimal", 0x20a38faa3233d16eULL},
+      {"GreedyRobustness", 0x59de819b60b32968ULL},
+      {"MinMinExpected", 0xb761a81f7b47b163ULL},
+      {"MaxMinExpected", 0xb42db809701d0a6fULL},
+      {"SufferageRobust", 0x7e75957032679409ULL},
+      {"SimulatedAnnealing", 0xa3742b40b9a0b267ULL},
+      {"TabuSearch", 0x693aef7f6642dd2aULL},
+      {"BestOfPortfolio", 0xb5556fffb7a661a2ULL}};
+  ASSERT_EQ(heuristics.size(), recorded.size());
+  for (std::size_t h = 0; h < heuristics.size(); ++h) {
+    EXPECT_EQ(heuristics[h]->name(), recorded[h].first);
+    EXPECT_EQ(digests[h], recorded[h].second)
+        << recorded[h].first << " digest 0x" << std::hex << digests[h];
+  }
 }
 
 }  // namespace
