@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sysmodel/platform.hpp"
@@ -60,11 +61,58 @@ class Allocation {
 /// {1, 2, 4, 8}).
 [[nodiscard]] std::vector<std::size_t> candidate_counts(std::size_t capacity, CountRule rule);
 
+/// Stage I's one depth-first walk over the feasible allocations of
+/// `applications` groups onto `platform` under `rule`. Application 0's
+/// group varies slowest; each application tries the types in index order
+/// and, on each type, the candidate_counts of its free processors
+/// ascending. A group is tried only while one processor stays free for
+/// each later application, which cuts only prefixes that cannot complete,
+/// so the leaves are exactly the feasible allocations, in this order.
+///
+/// Before it places `group` for application `app` (applications [0, app)
+/// placed), the walk calls enter(app, group); false skips every allocation
+/// with that prefix. At each complete allocation it calls leaf(groups),
+/// groups[i] being application i's group; the reference is valid only
+/// during the call.
+template <typename Enter, typename Leaf>
+void walk_feasible(std::size_t applications, const sysmodel::Platform& platform, CountRule rule,
+                   Enter&& enter, Leaf&& leaf) {
+  // counts[j]: type j's candidate counts at full capacity, a superset of
+  // those of its free processors remaining[j].
+  std::vector<std::vector<std::size_t>> counts(platform.type_count());
+  std::vector<std::size_t> remaining(platform.type_count());
+  for (std::size_t j = 0; j < platform.type_count(); ++j) {
+    remaining[j] = platform.processors_of_type(j);
+    counts[j] = candidate_counts(remaining[j], rule);
+  }
+  std::vector<GroupAssignment> groups(applications);
+  // `left` = the free processors of every type.
+  auto descend = [&](auto& self, std::size_t app, std::size_t left) -> void {
+    if (app == applications) {
+      leaf(std::as_const(groups));
+      return;
+    }
+    const std::size_t reserve = applications - app - 1;
+    for (std::size_t type = 0; type < counts.size(); ++type) {
+      for (const std::size_t count : counts[type]) {
+        if (count > remaining[type] || left - count < reserve) break;
+        const GroupAssignment group{type, count};
+        if (!enter(app, group)) continue;
+        groups[app] = group;
+        remaining[type] -= count;
+        self(self, app + 1, left - count);
+        remaining[type] += count;
+      }
+    }
+  };
+  descend(descend, 0, platform.total_processors());
+}
+
 /// Every feasible allocation of `applications` groups onto `platform`
-/// under `rule` (all applications assigned, capacities respected).
-/// Exhaustive — exponential in the batch size; intended for paper-scale
-/// instances and for validating heuristics on small instances.
-/// Throws std::invalid_argument if applications == 0.
+/// under `rule` (all applications assigned, capacities respected), in
+/// walk_feasible's order. Exhaustive — exponential in the batch size;
+/// intended for paper-scale instances and for validating heuristics on
+/// small instances. Throws std::invalid_argument if applications == 0.
 [[nodiscard]] std::vector<Allocation> enumerate_feasible(std::size_t applications,
                                                          const sysmodel::Platform& platform,
                                                          CountRule rule);

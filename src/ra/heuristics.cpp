@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
+#include <cstdint>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -12,6 +13,19 @@
 namespace cdsf::ra {
 
 namespace {
+
+// SimulatedAnnealing's schedule.
+constexpr std::size_t kAnnealingIterations = 4000;
+constexpr double kInitialTemperature = 0.2;
+constexpr double kCooling = 0.999;
+constexpr std::uint64_t kAnnealingSeed = 0x5EED;
+
+// TabuSearch stops after kTabuPatience consecutive non-improving moves or
+// kTabuMaxMoves moves; an applied (application, group) pair stays tabu for
+// kTabuTenure moves.
+constexpr std::size_t kTabuPatience = 200;
+constexpr std::size_t kTabuMaxMoves = 5000;
+constexpr std::size_t kTabuTenure = 12;
 
 std::size_t total_capacity(const std::vector<std::size_t>& remaining) {
   std::size_t total = 0;
@@ -41,6 +55,18 @@ std::vector<GroupAssignment> feasible_options(const std::vector<std::size_t>& re
     }
   }
   return options;
+}
+
+/// The groups application `i` can move to while every other application
+/// keeps its group: feasible_options of the capacity the others leave, in
+/// type-then-count order, application i's own group included.
+std::vector<GroupAssignment> reassignments(const Allocation& allocation, std::size_t i,
+                                           const sysmodel::Platform& platform, CountRule rule) {
+  std::vector<std::size_t> remaining = full_capacity(platform);
+  for (std::size_t k = 0; k < allocation.size(); ++k) {
+    if (k != i) remaining[allocation.at(k).processor_type] -= allocation.at(k).processors;
+  }
+  return feasible_options(remaining, rule, 0);
 }
 
 void require_feasible_instance(const RobustnessEvaluator& evaluator,
@@ -108,7 +134,72 @@ GroupAssignment best_by_probability(const RobustnessEvaluator& evaluator, std::s
   return best;
 }
 
+/// The start of SimulatedAnnealing and TabuSearch: applications committed
+/// in batch order, each to its most probable group among those that leave
+/// one processor for every later application (ties: fewer processors).
+Allocation batch_order_start(const RobustnessEvaluator& evaluator,
+                             const sysmodel::Platform& platform, CountRule rule) {
+  return commit_loop(evaluator, platform, rule,
+                     [&](const std::vector<std::size_t>& unassigned,
+                         const std::vector<std::vector<GroupAssignment>>& options) {
+                       return std::make_pair(
+                           std::size_t{0},
+                           best_by_probability(evaluator, unassigned[0], options[0]));
+                     });
+}
+
+/// Stage I's allocation order, applied one offer at a time: the highest
+/// phi_1 wins. phi_1 values within kTie of the best seen so far tie, and a
+/// tie goes to the smaller expected_total (by more than kTie), then to
+/// fewer processors. The window is not transitive, so the winner depends
+/// on the offer order; the exact searches offer in walk_feasible's order.
+class AllocationRanking {
+ public:
+  explicit AllocationRanking(const RobustnessEvaluator& evaluator) : evaluator_(&evaluator) {}
+
+  /// Keeps `allocation` if it ranks above the incumbent.
+  void offer(const Allocation& allocation) {
+    const double joint = evaluator_->joint_probability(allocation);
+    if (excludes(joint)) return;
+    const bool clearly_better = joint > best_joint_ + kTie;
+    const double expected = expected_total(*evaluator_, allocation);
+    const bool tie_break =
+        !clearly_better &&
+        (expected < best_expected_ - kTie ||
+         (std::fabs(expected - best_expected_) <= kTie && best_.has_value() &&
+          allocation.total_processors() < best_->total_processors()));
+    if (clearly_better || tie_break) {
+      best_joint_ = std::max(joint, best_joint_);
+      best_expected_ = expected;
+      best_ = allocation;
+    }
+  }
+
+  /// True when an offer whose phi_1 is at most `phi1` cannot win, now or
+  /// after later offers (the best phi_1 seen only grows).
+  [[nodiscard]] bool excludes(double phi1) const { return phi1 < best_joint_ - kTie; }
+
+  /// The incumbent; nullopt before the first offer.
+  [[nodiscard]] const std::optional<Allocation>& best() const noexcept { return best_; }
+
+ private:
+  static constexpr double kTie = 1e-9;
+
+  const RobustnessEvaluator* evaluator_;
+  std::optional<Allocation> best_;
+  double best_joint_ = -1.0;
+  double best_expected_ = std::numeric_limits<double>::infinity();
+};
+
 }  // namespace
+
+double expected_total(const RobustnessEvaluator& evaluator, const Allocation& allocation) {
+  double sum = 0.0;
+  for (std::size_t i = 0; i < allocation.size(); ++i) {
+    sum += evaluator.expected_completion(i, allocation.at(i));
+  }
+  return sum;
+}
 
 // ------------------------------------------------------- NaiveLoadBalance --
 
@@ -125,34 +216,21 @@ Allocation NaiveLoadBalance::allocate(const RobustnessEvaluator& evaluator,
   std::sort(shares.rbegin(), shares.rend());
 
   for (std::size_t share : shares) {
-    // Enumerate all type assignments with every group of size `share`;
-    // keep the one with the highest joint probability.
+    // Every type assignment with all groups of size `share`; the first one
+    // with the highest joint probability wins.
     Allocation best;
     double best_joint = -1.0;
-    std::vector<std::size_t> remaining = full_capacity(platform);
-    std::vector<GroupAssignment> current;
-    current.reserve(n);
-
-    std::function<void(std::size_t)> recurse = [&](std::size_t app) {
-      if (app == n) {
-        Allocation candidate{current};
-        const double joint = evaluator.joint_probability(candidate);
-        if (joint > best_joint) {
-          best_joint = joint;
-          best = std::move(candidate);
-        }
-        return;
-      }
-      for (std::size_t type = 0; type < remaining.size(); ++type) {
-        if (remaining[type] < share) continue;
-        remaining[type] -= share;
-        current.push_back(GroupAssignment{type, share});
-        recurse(app + 1);
-        current.pop_back();
-        remaining[type] += share;
-      }
-    };
-    recurse(0);
+    walk_feasible(
+        n, platform, rule,
+        [share](std::size_t, GroupAssignment group) { return group.processors == share; },
+        [&](const std::vector<GroupAssignment>& groups) {
+          Allocation candidate(groups);
+          const double joint = evaluator.joint_probability(candidate);
+          if (joint > best_joint) {
+            best_joint = joint;
+            best = std::move(candidate);
+          }
+        });
     if (best_joint >= 0.0) return best;
   }
   throw std::runtime_error("NaiveLoadBalance: no equal-share allocation fits the platform");
@@ -164,39 +242,12 @@ Allocation ExhaustiveOptimal::allocate(const RobustnessEvaluator& evaluator,
                                        const sysmodel::Platform& platform,
                                        CountRule rule) const {
   require_feasible_instance(evaluator, platform);
-  const std::vector<Allocation> all =
-      enumerate_feasible(evaluator.batch().size(), platform, rule);
-  if (all.empty()) throw std::runtime_error("ExhaustiveOptimal: no feasible allocation");
-  // Primary objective: maximize phi_1. Probability ties (common when several
-  // allocations are already near-certain) break toward the smaller total
-  // expected completion time, then toward fewer processors.
-  auto total_expected = [&](const Allocation& allocation) {
-    double sum = 0.0;
-    for (std::size_t i = 0; i < allocation.size(); ++i) {
-      sum += evaluator.expected_completion(i, allocation.at(i));
-    }
-    return sum;
-  };
-  const Allocation* best = nullptr;
-  double best_joint = -1.0;
-  double best_expected = std::numeric_limits<double>::infinity();
-  for (const Allocation& allocation : all) {
-    const double joint = evaluator.joint_probability(allocation);
-    if (joint < best_joint - 1e-9) continue;
-    const bool clearly_better = joint > best_joint + 1e-9;
-    const double expected = total_expected(allocation);
-    const bool tie_break =
-        !clearly_better &&
-        (expected < best_expected - 1e-9 ||
-         (std::fabs(expected - best_expected) <= 1e-9 && best != nullptr &&
-          allocation.total_processors() < best->total_processors()));
-    if (clearly_better || tie_break) {
-      best_joint = std::max(joint, best_joint);
-      best_expected = expected;
-      best = &allocation;
-    }
-  }
-  return *best;
+  AllocationRanking ranking(evaluator);
+  walk_feasible(
+      evaluator.batch().size(), platform, rule, [](std::size_t, GroupAssignment) { return true; },
+      [&](const std::vector<GroupAssignment>& groups) { ranking.offer(Allocation(groups)); });
+  if (!ranking.best()) throw std::runtime_error("ExhaustiveOptimal: no feasible allocation");
+  return *ranking.best();
 }
 
 // -------------------------------------------------- BranchAndBoundOptimal --
@@ -209,11 +260,10 @@ Allocation BranchAndBoundOptimal::allocate(const RobustnessEvaluator& evaluator,
   nodes_visited_ = 0;
 
   // Admissible per-application bound: the best probability achievable on
-  // the FULL (capacity-relaxed) platform. Also note each application's
-  // best-probability expected time for the incumbent's tie-breaking.
+  // the FULL (capacity-relaxed) platform.
   std::vector<double> best_possible(n, 0.0);
-  const std::vector<std::size_t> full = full_capacity(platform);
-  const std::vector<GroupAssignment> all_options = feasible_options(full, rule, 0);
+  const std::vector<GroupAssignment> all_options =
+      feasible_options(full_capacity(platform), rule, 0);
   for (std::size_t i = 0; i < n; ++i) {
     for (const GroupAssignment& option : all_options) {
       best_possible[i] = std::max(best_possible[i],
@@ -224,46 +274,25 @@ Allocation BranchAndBoundOptimal::allocate(const RobustnessEvaluator& evaluator,
   std::vector<double> suffix(n + 1, 1.0);
   for (std::size_t i = n; i-- > 0;) suffix[i] = suffix[i + 1] * best_possible[i];
 
-  std::vector<std::size_t> remaining = full;
-  std::vector<GroupAssignment> current(n);
-  Allocation best;
-  double best_joint = -1.0;
-  double best_expected = std::numeric_limits<double>::infinity();
-  double current_expected = 0.0;
-
-  std::function<void(std::size_t, double)> descend = [&](std::size_t app, double product) {
-    ++nodes_visited_;
-    if (app == n) {
-      const bool clearly_better = product > best_joint + 1e-9;
-      const bool tie_break = product > best_joint - 1e-9 && current_expected < best_expected;
-      if (clearly_better || tie_break) {
-        best_joint = std::max(product, best_joint);
-        best_expected = current_expected;
-        best = Allocation(current);
-      }
-      return;
-    }
-    // Bound: even perfect choices for the remaining applications cannot
-    // beat the incumbent (the epsilon keeps ties alive for tie-breaking).
-    if (product * suffix[app] < best_joint - 1e-9) return;
-    // Reserve one processor for each later application.
-    const std::size_t reserve = n - app - 1;
-    for (const GroupAssignment& option : feasible_options(remaining, rule, reserve)) {
-      const double p = evaluator.application_probability(app, option);
-      const double expected = evaluator.expected_completion(app, option);
-      remaining[option.processor_type] -= option.processors;
-      current[app] = option;
-      current_expected += expected;
-      descend(app + 1, product * p);
-      current_expected -= expected;
-      remaining[option.processor_type] += option.processors;
-    }
-  };
-  descend(0, 1.0);
-  if (best_joint < 0.0) {
-    throw std::runtime_error("BranchAndBoundOptimal: no feasible allocation");
-  }
-  return best;
+  // The bound multiplies in another order than joint_probability does, so
+  // it may round below a phi_1 under it by about one ulp per application;
+  // this margin covers that for batches of up to 4,000 applications.
+  constexpr double kBoundRounding = 1e-12;
+  // prefix[i] = product of the placed applications' probabilities, [0, i).
+  std::vector<double> prefix(n + 1, 1.0);
+  AllocationRanking ranking(evaluator);
+  walk_feasible(
+      n, platform, rule,
+      [&](std::size_t app, GroupAssignment group) {
+        ++nodes_visited_;
+        prefix[app + 1] = prefix[app] * evaluator.application_probability(app, group);
+        // Cut only what the ranking would skip: the incumbent only improves
+        // between now and the offers below this node.
+        return !ranking.excludes(prefix[app + 1] * suffix[app + 1] + kBoundRounding);
+      },
+      [&](const std::vector<GroupAssignment>& groups) { ranking.offer(Allocation(groups)); });
+  if (!ranking.best()) throw std::runtime_error("BranchAndBoundOptimal: no feasible allocation");
+  return *ranking.best();
 }
 
 // ------------------------------------------------------- GreedyRobustness --
@@ -295,20 +324,7 @@ Allocation GreedyRobustness::allocate(const RobustnessEvaluator& evaluator,
     std::size_t best_app = n;
     GroupAssignment best_option{};
     for (std::size_t i = 0; i < n; ++i) {
-      // Capacity with application i removed.
-      std::vector<std::size_t> remaining = full_capacity(platform);
-      bool overflow = false;
-      for (std::size_t k = 0; k < n; ++k) {
-        if (k == i) continue;
-        const GroupAssignment& g = allocation.at(k);
-        if (remaining[g.processor_type] < g.processors) {
-          overflow = true;
-          break;
-        }
-        remaining[g.processor_type] -= g.processors;
-      }
-      if (overflow) continue;
-      for (const GroupAssignment& option : feasible_options(remaining, rule, 0)) {
+      for (const GroupAssignment& option : reassignments(allocation, i, platform, rule)) {
         if (option == allocation.at(i)) continue;
         std::vector<GroupAssignment> groups = allocation.groups();
         groups[i] = option;
@@ -332,31 +348,19 @@ Allocation GreedyRobustness::allocate(const RobustnessEvaluator& evaluator,
   // alone is myopic — two allocations with equal probability can differ
   // widely in makespan, which matters the moment the next batch queues
   // behind this one (and mirrors ExhaustiveOptimal's tie-breaking).
-  auto expected_sum = [&](const Allocation& allocation_in) {
-    double sum = 0.0;
-    for (std::size_t i = 0; i < allocation_in.size(); ++i) {
-      sum += evaluator.expected_completion(i, allocation_in.at(i));
-    }
-    return sum;
-  };
-  double current_expected = expected_sum(allocation);
+  double current_expected = expected_total(evaluator, allocation);
   for (std::size_t round = 0; round < 64 * n + 64; ++round) {
     double best_drop = 1e-9;
     std::size_t best_app = n;
     GroupAssignment best_option{};
     for (std::size_t i = 0; i < n; ++i) {
-      std::vector<std::size_t> remaining = full_capacity(platform);
-      for (std::size_t k = 0; k < n; ++k) {
-        if (k == i) continue;
-        remaining[allocation.at(k).processor_type] -= allocation.at(k).processors;
-      }
-      for (const GroupAssignment& option : feasible_options(remaining, rule, 0)) {
+      for (const GroupAssignment& option : reassignments(allocation, i, platform, rule)) {
         if (option == allocation.at(i)) continue;
         std::vector<GroupAssignment> groups = allocation.groups();
         groups[i] = option;
         const Allocation candidate(std::move(groups));
         if (evaluator.joint_probability(candidate) < current - 1e-12) continue;
-        const double drop = current_expected - expected_sum(candidate);
+        const double drop = current_expected - expected_total(evaluator, candidate);
         if (drop > best_drop) {
           best_drop = drop;
           best_app = i;
@@ -464,33 +468,20 @@ Allocation SufferageRobust::allocate(const RobustnessEvaluator& evaluator,
 Allocation SimulatedAnnealing::allocate(const RobustnessEvaluator& evaluator,
                                         const sysmodel::Platform& platform,
                                         CountRule rule) const {
-  // Start from the minimal greedy solution (same construction as
-  // GreedyRobustness's initial state, without the hill climb).
-  Allocation current_allocation = commit_loop(
-      evaluator, platform, rule,
-      [&](const std::vector<std::size_t>& unassigned,
-          const std::vector<std::vector<GroupAssignment>>& options) {
-        return std::make_pair(std::size_t{0},
-                              best_by_probability(evaluator, unassigned[0], options[0]));
-      });
+  Allocation current_allocation = batch_order_start(evaluator, platform, rule);
 
   double current = evaluator.joint_probability(current_allocation);
   Allocation best_allocation = current_allocation;
   double best = current;
 
-  util::RngStream rng(options_.seed);
-  double temperature = options_.initial_temperature;
+  util::RngStream rng(kAnnealingSeed);
+  double temperature = kInitialTemperature;
   const std::size_t n = current_allocation.size();
 
-  for (std::size_t step = 0; step < options_.iterations; ++step) {
+  for (std::size_t step = 0; step < kAnnealingIterations; ++step) {
     const auto i = static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
-    // Capacity with application i removed.
-    std::vector<std::size_t> remaining = full_capacity(platform);
-    for (std::size_t k = 0; k < n; ++k) {
-      if (k == i) continue;
-      remaining[current_allocation.at(k).processor_type] -= current_allocation.at(k).processors;
-    }
-    const std::vector<GroupAssignment> options = feasible_options(remaining, rule, 0);
+    const std::vector<GroupAssignment> options =
+        reassignments(current_allocation, i, platform, rule);
     if (options.empty()) continue;
     const auto pick = static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(options.size()) - 1));
@@ -508,7 +499,7 @@ Allocation SimulatedAnnealing::allocate(const RobustnessEvaluator& evaluator,
         best_allocation = current_allocation;
       }
     }
-    temperature = std::max(temperature * options_.cooling, 1e-6);
+    temperature = std::max(temperature * kCooling, 1e-6);
   }
   return best_allocation;
 }
@@ -517,15 +508,9 @@ Allocation SimulatedAnnealing::allocate(const RobustnessEvaluator& evaluator,
 
 Allocation TabuSearch::allocate(const RobustnessEvaluator& evaluator,
                                 const sysmodel::Platform& platform, CountRule rule) const {
-  // Start from the minimal greedy construction (one processor per app on
-  // its best type) and walk via best single-application reassignments.
-  Allocation current = commit_loop(
-      evaluator, platform, rule,
-      [&](const std::vector<std::size_t>& unassigned,
-          const std::vector<std::vector<GroupAssignment>>& options) {
-        return std::make_pair(std::size_t{0},
-                              best_by_probability(evaluator, unassigned[0], options[0]));
-      });
+  // Walk from the batch-order start via best single-application
+  // reassignments.
+  Allocation current = batch_order_start(evaluator, platform, rule);
   double current_joint = evaluator.joint_probability(current);
   Allocation best = current;
   double best_joint = current_joint;
@@ -540,18 +525,13 @@ Allocation TabuSearch::allocate(const RobustnessEvaluator& evaluator,
   };
 
   std::size_t stale = 0;
-  for (std::size_t move = 0; move < options_.max_moves && stale < options_.patience; ++move) {
+  for (std::size_t move = 0; move < kTabuMaxMoves && stale < kTabuPatience; ++move) {
     double best_candidate_joint = -1.0;
     std::size_t best_app = n;
     GroupAssignment best_option{};
 
     for (std::size_t i = 0; i < n; ++i) {
-      std::vector<std::size_t> remaining = full_capacity(platform);
-      for (std::size_t k = 0; k < n; ++k) {
-        if (k == i) continue;
-        remaining[current.at(k).processor_type] -= current.at(k).processors;
-      }
-      for (const GroupAssignment& option : feasible_options(remaining, rule, 0)) {
+      for (const GroupAssignment& option : reassignments(current, i, platform, rule)) {
         if (option == current.at(i)) continue;
         std::vector<GroupAssignment> groups = current.groups();
         groups[i] = option;
@@ -570,7 +550,7 @@ Allocation TabuSearch::allocate(const RobustnessEvaluator& evaluator,
     if (best_app == n) break;  // every move tabu and non-aspiring
 
     // Forbid undoing this application's PREVIOUS assignment for `tenure`.
-    tabu_until[key_of(best_app, current.at(best_app))] = move + options_.tenure;
+    tabu_until[key_of(best_app, current.at(best_app))] = move + kTabuTenure;
     std::vector<GroupAssignment> groups = current.groups();
     groups[best_app] = best_option;
     current = Allocation(std::move(groups));
@@ -592,28 +572,11 @@ Allocation TabuSearch::allocate(const RobustnessEvaluator& evaluator,
 Allocation BestOfPortfolio::allocate(const RobustnessEvaluator& evaluator,
                                      const sysmodel::Platform& platform,
                                      CountRule rule) const {
-  auto expected_sum = [&](const Allocation& allocation) {
-    double sum = 0.0;
-    for (std::size_t i = 0; i < allocation.size(); ++i) {
-      sum += evaluator.expected_completion(i, allocation.at(i));
-    }
-    return sum;
-  };
-  Allocation best;
-  double best_joint = -1.0;
-  double best_expected = std::numeric_limits<double>::infinity();
+  AllocationRanking ranking(evaluator);
   for (const auto& heuristic : all_heuristics(false)) {
-    const Allocation candidate = heuristic->allocate(evaluator, platform, rule);
-    const double joint = evaluator.joint_probability(candidate);
-    const double expected = expected_sum(candidate);
-    if (joint > best_joint + 1e-12 ||
-        (joint > best_joint - 1e-12 && expected < best_expected)) {
-      best_joint = joint;
-      best_expected = expected;
-      best = candidate;
-    }
+    ranking.offer(heuristic->allocate(evaluator, platform, rule));
   }
-  return best;
+  return *ranking.best();
 }
 
 std::vector<std::unique_ptr<Heuristic>> all_heuristics(bool include_exhaustive) {

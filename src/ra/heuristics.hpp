@@ -3,9 +3,14 @@
 //   NaiveLoadBalance  — the paper's "naive IM": every application receives
 //                       an equal share of processors; among the equal-share
 //                       allocations the one with the highest phi_1 is kept.
-//   ExhaustiveOptimal — the paper's "robust IM": enumerate every feasible
-//                       allocation and keep the argmax of phi_1. Feasible
-//                       only at small scale.
+//   ExhaustiveOptimal — the paper's "robust IM": walk every feasible
+//                       allocation and keep the best in Stage I's order
+//                       (highest phi_1; ties within 1e-9 go to the smaller
+//                       expected_total, then to fewer processors).
+//                       Feasible only at small scale.
+//   BranchAndBoundOptimal — the same walk and order, cutting subtrees whose
+//                       phi_1 bound the order would skip: returns exactly
+//                       ExhaustiveOptimal's allocation.
 // Scalable heuristics (the paper's stated future work; baselines built from
 // the literature it cites):
 //   GreedyRobustness  — steepest-ascent local search on phi_1: start from
@@ -23,15 +28,20 @@
 //                       group.
 //   SimulatedAnnealing— Metropolis search over feasible allocations on
 //                       phi_1; seeded and deterministic.
+//   TabuSearch        — best single-application reassignment per move,
+//                       with the groups it recently left forbidden for a
+//                       few moves.
+//   BestOfPortfolio   — runs NaiveLoadBalance and every scalable heuristic
+//                       and keeps the best allocation in Stage I's order.
 //
 // All heuristics guarantee a returned allocation is feasible and complete,
 // or throw std::runtime_error when the instance admits no feasible
 // allocation (fewer processors than applications).
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "ra/allocation.hpp"
 #include "ra/robustness.hpp"
@@ -68,13 +78,14 @@ class ExhaustiveOptimal final : public Heuristic {
                                     CountRule rule) const override;
 };
 
-/// Exact optimum via branch and bound: depth-first over applications with
-/// an admissible capacity-relaxed bound — a branch is cut when
-/// (product so far) x (each remaining application's best probability over
-/// the FULL platform) cannot beat the incumbent. Returns the same phi_1 as
-/// ExhaustiveOptimal (same probability-then-expected-time tie-breaking)
-/// while visiting a fraction of the tree; extends exact Stage I a few
-/// applications beyond where plain enumeration stops being viable.
+/// Exact optimum via branch and bound over walk_feasible with an
+/// admissible capacity-relaxed bound: a branch is cut when (product so far)
+/// x (each remaining application's best probability over the FULL
+/// platform), plus a rounding margin, falls below the incumbent's phi_1 by
+/// more than the order's tie window. Every cut allocation is one the order
+/// would skip, so it returns exactly ExhaustiveOptimal's allocation while
+/// visiting a fraction of the tree. The bound uses phi_1 only, so it never
+/// cuts a phi_1 tie.
 class BranchAndBoundOptimal final : public Heuristic {
  public:
   [[nodiscard]] std::string name() const override { return "BranchAndBoundOptimal"; }
@@ -82,8 +93,8 @@ class BranchAndBoundOptimal final : public Heuristic {
                                     const sysmodel::Platform& platform,
                                     CountRule rule) const override;
 
-  /// Nodes visited by the last allocate() call on this instance (for the
-  /// pruning-effectiveness bench; not thread-safe).
+  /// (application, group) placements the last allocate() call on this
+  /// instance tried, cut or not (for the pruning tests; not thread-safe).
   [[nodiscard]] std::size_t last_nodes_visited() const noexcept { return nodes_visited_; }
 
  private:
@@ -122,57 +133,28 @@ class SufferageRobust final : public Heuristic {
                                     CountRule rule) const override;
 };
 
-/// Knobs for SimulatedAnnealing.
-struct AnnealingOptions {
-  std::size_t iterations = 4000;
-  double initial_temperature = 0.2;
-  double cooling = 0.999;
-  std::uint64_t seed = 0x5EED;
-};
-
 class SimulatedAnnealing final : public Heuristic {
  public:
-  using Options = AnnealingOptions;
-  explicit SimulatedAnnealing(Options options = Options()) : options_(options) {}
-
   [[nodiscard]] std::string name() const override { return "SimulatedAnnealing"; }
   [[nodiscard]] Allocation allocate(const RobustnessEvaluator& evaluator,
                                     const sysmodel::Platform& platform,
                                     CountRule rule) const override;
-
- private:
-  Options options_;
-};
-
-/// Knobs for TabuSearch.
-struct TabuOptions {
-  /// Stop after this many consecutive non-improving moves.
-  std::size_t patience = 200;
-  /// Hard cap on total moves.
-  std::size_t max_moves = 5000;
-  /// Moves an (application, group) pair stays tabu after being applied.
-  std::size_t tenure = 12;
 };
 
 /// Tabu search on phi_1: best-improving single-application reassignment per
-/// move, with recently applied (application, group) pairs forbidden for
-/// `tenure` moves (aspiration: a tabu move beating the global best is
+/// move, with the (application, group) pair each move leaves forbidden for
+/// a few moves (aspiration: a tabu move beating the global best is
 /// allowed). Escapes the local optima that stop GreedyRobustness.
 class TabuSearch final : public Heuristic {
  public:
-  explicit TabuSearch(TabuOptions options = TabuOptions()) : options_(options) {}
-
   [[nodiscard]] std::string name() const override { return "TabuSearch"; }
   [[nodiscard]] Allocation allocate(const RobustnessEvaluator& evaluator,
                                     const sysmodel::Platform& platform,
                                     CountRule rule) const override;
-
- private:
-  TabuOptions options_;
 };
 
-/// Portfolio: runs every scalable heuristic and returns the allocation
-/// with the highest phi_1 (ties: smaller total expected completion time).
+/// Portfolio: runs every member of all_heuristics(false) and returns the
+/// best of their allocations in Stage I's order (ExhaustiveOptimal's).
 /// The practitioner's default — each member costs microseconds-to-
 /// milliseconds, so running all of them is cheap insurance against any
 /// single heuristic's pathological instances.
@@ -187,5 +169,10 @@ class BestOfPortfolio final : public Heuristic {
 /// All heuristics (for comparison benches); exhaustive included only when
 /// `include_exhaustive`. BestOfPortfolio is excluded (it wraps the others).
 [[nodiscard]] std::vector<std::unique_ptr<Heuristic>> all_heuristics(bool include_exhaustive);
+
+/// Sum of the applications' expected completion times under `allocation`,
+/// added in application order: Stage I's tie-break after phi_1.
+[[nodiscard]] double expected_total(const RobustnessEvaluator& evaluator,
+                                    const Allocation& allocation);
 
 }  // namespace cdsf::ra

@@ -3,6 +3,11 @@
 // exact Stage I solver.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "cdsf/paper_example.hpp"
 #include "ra/heuristics.hpp"
 #include "sim/loop_executor.hpp"
@@ -114,6 +119,10 @@ TEST(BranchAndBound, MatchesExhaustiveOnThePaperInstance) {
   EXPECT_EQ(exact, core::paper_robust_allocation());
 }
 
+// Differential oracle: branch and bound must return ExhaustiveOptimal's
+// allocation itself, not only its phi_1. Batches that repeat an
+// application and near-certain deadlines make many allocations tie on
+// phi_1, so the expected-time and processor-count tie-breaks decide.
 TEST(BranchAndBound, MatchesExhaustiveOnRandomInstances) {
   const sysmodel::Platform platform({{"a", 4}, {"b", 8}});
   const sysmodel::AvailabilitySpec avail(
@@ -125,13 +134,31 @@ TEST(BranchAndBound, MatchesExhaustiveOnRandomInstances) {
   spec.min_mean_time = 2000.0;
   spec.max_mean_time = 12000.0;
   for (std::uint64_t seed : {1ull, 2ull, 3ull, 4ull, 5ull}) {
-    const workload::Batch batch = workload::generate_batch(spec, seed);
-    const ra::RobustnessEvaluator evaluator(batch, avail, 9000.0);
-    const double exact = evaluator.joint_probability(ra::BranchAndBoundOptimal().allocate(
-        evaluator, platform, ra::CountRule::kPowerOfTwo));
-    const double brute = evaluator.joint_probability(ra::ExhaustiveOptimal().allocate(
-        evaluator, platform, ra::CountRule::kPowerOfTwo));
-    EXPECT_NEAR(exact, brute, 1e-9) << "seed=" << seed;
+    for (const bool repeat : {false, true}) {
+      std::vector<workload::Application> applications =
+          workload::generate_batch(spec, seed).applications();
+      if (repeat) applications.back() = applications.front();
+      const workload::Batch batch(std::move(applications));
+      for (const double deadline : {5000.0, 9000.0, 20000.0}) {
+        for (const ra::CountRule rule : {ra::CountRule::kPowerOfTwo, ra::CountRule::kAny}) {
+          const ra::RobustnessEvaluator evaluator(batch, avail, deadline);
+          const ra::Allocation exact =
+              ra::BranchAndBoundOptimal().allocate(evaluator, platform, rule);
+          const ra::Allocation brute = ra::ExhaustiveOptimal().allocate(evaluator, platform, rule);
+          const std::string where = "seed=" + std::to_string(seed) +
+                                    " repeat=" + std::to_string(repeat) +
+                                    " deadline=" + std::to_string(deadline) +
+                                    " any=" + std::to_string(rule == ra::CountRule::kAny);
+          EXPECT_EQ(exact, brute) << where;
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(evaluator.joint_probability(exact)),
+                    std::bit_cast<std::uint64_t>(evaluator.joint_probability(brute)))
+              << where;
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(ra::expected_total(evaluator, exact)),
+                    std::bit_cast<std::uint64_t>(ra::expected_total(evaluator, brute)))
+              << where;
+        }
+      }
+    }
   }
 }
 

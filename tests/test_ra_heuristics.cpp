@@ -182,13 +182,8 @@ TEST_F(HeuristicsTest, TabuSearchAtLeastMatchesGreedy) {
 TEST(TabuSearch, DeterministicAndPatienceBounded) {
   const auto example = make_paper_example();
   const RobustnessEvaluator evaluator(example.batch, example.cases.front(), example.deadline);
-  TabuOptions options;
-  options.patience = 5;
-  options.max_moves = 50;
-  const Allocation a =
-      TabuSearch(options).allocate(evaluator, example.platform, CountRule::kPowerOfTwo);
-  const Allocation b =
-      TabuSearch(options).allocate(evaluator, example.platform, CountRule::kPowerOfTwo);
+  const Allocation a = TabuSearch().allocate(evaluator, example.platform, CountRule::kPowerOfTwo);
+  const Allocation b = TabuSearch().allocate(evaluator, example.platform, CountRule::kPowerOfTwo);
   EXPECT_EQ(a, b);
   EXPECT_TRUE(a.fits(example.platform));
 }
@@ -196,12 +191,10 @@ TEST(TabuSearch, DeterministicAndPatienceBounded) {
 TEST(HeuristicsRandom, AnnealingIsDeterministicGivenSeed) {
   const auto example = make_paper_example();
   const RobustnessEvaluator evaluator(example.batch, example.cases.front(), example.deadline);
-  AnnealingOptions options;
-  options.seed = 77;
   const Allocation a =
-      SimulatedAnnealing(options).allocate(evaluator, example.platform, CountRule::kPowerOfTwo);
+      SimulatedAnnealing().allocate(evaluator, example.platform, CountRule::kPowerOfTwo);
   const Allocation b =
-      SimulatedAnnealing(options).allocate(evaluator, example.platform, CountRule::kPowerOfTwo);
+      SimulatedAnnealing().allocate(evaluator, example.platform, CountRule::kPowerOfTwo);
   EXPECT_EQ(a, b);
 }
 
