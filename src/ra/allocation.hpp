@@ -86,7 +86,7 @@ void walk_feasible(std::size_t applications, const sysmodel::Platform& platform,
     counts[j] = candidate_counts(remaining[j], rule);
   }
   std::vector<GroupAssignment> groups(applications);
-  // `left` = the free processors of every type.
+  // `left`: the free processors summed over the types.
   auto descend = [&](auto& self, std::size_t app, std::size_t left) -> void {
     if (app == applications) {
       leaf(std::as_const(groups));
