@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "cdsf/paper_example.hpp"
 #include "cdsf/scenario_io.hpp"
@@ -601,6 +606,90 @@ TEST(ScenarioIo, MalformedInputSweepIsMemorySafe) {
   }
   // Still a functioning parser after the sweep.
   EXPECT_NO_THROW(parse_scenario_text(base));
+}
+
+// Format oracle: the bytes scenario_to_text writes for the paper scenario,
+// for a scenario that sets every key of every optional section to a
+// non-default value (including numbers past the writer's six significant
+// digits), and for a scenario whose optional keys the writer omits; each
+// written text must parse and write back to the same bytes. Then, at each
+// value domain's boundary, one accepted and one rejected input.
+TEST(ScenarioIo, FormatMatchesRecordedDigests) {
+  std::string every_key = kMinimalScenario;
+  every_key +=
+      "\n[availability fine]\nfast = 0.123456789:0.5 1.0:0.5\nslow = 0.75:1.0\n"
+      "\n[application job2]\nserial = 7\nparallel = 1234567\nmean = 3250.123456789 42\n"
+      "cov = 0.25\nlaw = lognormal\nprofile = increasing\n"
+      "\n[deadline]\nvalue = 3250.123456789\n"
+      "\n[failure]\nworker = 1\ntime = 50.5\nkind = degrade\nresidual = 0.25\n"
+      "\n[failure]\nworker = 2\ntime = 75\nkind = crash\n"
+      "\n[failure]\nworker = 3\ntime = 100\nkind = crash-recover\nrecovery = 400\n"
+      "\n[failure]\ntime = 120\nkind = master-restart\nrecovery = 150\n"
+      "\n[failure]\nworker = 4\ntime = 30\nkind = silent-corrupt\nprobability = 0.6\n"
+      "\n[channel]\ndrop-to-worker = 0.05\ndrop-to-master = 0.02\n"
+      "duplicate-to-worker = 0.03\nduplicate-to-master = 0.1\nreorder-to-worker = 0.2\n"
+      "reorder-to-master = 0.15\nreorder-delay = 1.5\nburst-gap-mean = 300\n"
+      "burst-duration = 8\nrto = 3\nrto-backoff = 1.5\nmax-retransmits = 4\n"
+      "\n[checkpoint]\ninterval = 250\njson = out/checkpoint.json\n"
+      "\n[quarantine]\nfail-slow = 1\newma-alpha = 0.4\nslowdown-threshold = 3\n"
+      "min-observations = 5\nprobe-interval = 120\nprobe-successes = 3\n"
+      "audit-rate = 0.2\naudit-mismatch-limit = 2\n"
+      "\n[integrity]\ncorrupt-to-worker = 0.01\ncorrupt-to-master = 0.02\n"
+      "\n[admission]\npolicy = rho2\nqueue-capacity = 4\norder = edf\n"
+      "admit-floor = 0.2\nshed-floor = 0.1\nladder = 1\nladder-alpha = 0.4\n"
+      "overload-threshold = 0.7\nrecover-threshold = 0.3\n";
+  const std::string omitted_keys = std::string(kMinimalScenario) +
+                                   "\n[quarantine]\nfail-slow = 0\naudit-rate = 0.3\n"
+                                   "\n[admission]\nqueue-capacity = 3\n";
+
+  const std::vector<std::pair<std::string, std::uint64_t>> recorded = {
+      {paper_scenario_text(), 0x5580fbd2712afd5eULL},
+      {scenario_to_text(parse_scenario_text(every_key)), 0x0653837c36e7bb60ULL},
+      {scenario_to_text(parse_scenario_text(omitted_keys)), 0x4e564dde448ce119ULL}};
+  for (std::size_t k = 0; k < recorded.size(); ++k) {
+    const std::string& text = recorded[k].first;
+    std::uint64_t hash = 14695981039346656037ULL;
+    for (const char c : text) {
+      hash ^= static_cast<unsigned char>(c);
+      hash *= 1099511628211ULL;
+    }
+    EXPECT_EQ(hash, recorded[k].second) << "scenario " << k << " digest 0x" << std::hex << hash
+                                        << "\n" << text;
+    EXPECT_EQ(scenario_to_text(parse_scenario_text(text)), text) << "scenario " << k;
+  }
+
+  // {section text, key, accepted value, rejected value}; each rejection is
+  // a std::runtime_error (a line-numbered parse error).
+  const std::string failure = "\n[failure]\nworker = 0\ntime = 5\nkind = degrade\n";
+  const std::string admission = "\n[admission]\nqueue-capacity = 2\n";
+  const std::vector<std::array<std::string, 4>> boundaries = {
+      {"\n[channel]\n", "drop-to-worker", "0", "-1e-9"},          // [0, 1]
+      {"\n[quarantine]\n", "audit-rate", "1", "1.000001"},        // [0, 1]
+      {"\n[quarantine]\n", "ewma-alpha", "1", "0"},               // (0, 1]
+      {"\n[quarantine]\n", "ewma-alpha", "1e-9", "1.000001"},     // (0, 1]
+      {failure, "residual", "1", "0"},                            // (0, 1]
+      {admission, "ladder-alpha", "1", "0"},                      // (0, 1]
+      {"\n[channel]\n", "rto", "1e-9", "0"},                      // > 0
+      {"\n[checkpoint]\n", "interval", "1e-9", "0"},              // > 0
+      {"\n[channel]\n", "burst-gap-mean", "0", "-1e-9"},          // >= 0
+      {"\n[failure]\nworker = 0\n", "time", "0", "-1e-9"},        // >= 0
+      {"\n[channel]\n", "rto-backoff", "1", "0.999"},             // >= 1
+      {"\n[quarantine]\n", "slowdown-threshold", "1.000001", "1"},  // > 1
+      {admission, "recover-threshold", "0", "1"},                 // [0, 1)
+      {admission, "recover-threshold", "0", "-1e-9"},             // [0, 1)
+      {admission, "ladder", "1", "2"},                            // 0/1 flag
+      {"\n[quarantine]\n", "fail-slow", "0", "-1"},               // 0/1 flag
+      {"\n[channel]\n", "max-retransmits", "0", "-1"},            // integer >= 0
+      {"\n[failure]\n", "worker", "0", "-1"},                     // integer >= 0
+      {"\n[quarantine]\n", "min-observations", "1", "0"},         // integer >= 1
+      {"\n[admission]\n", "queue-capacity", "1", "0"},            // integer >= 1
+  };
+  for (const auto& [section, key, accepted, rejected] : boundaries) {
+    const std::string prefix = std::string(kMinimalScenario) + section + key + " = ";
+    EXPECT_NO_THROW(parse_scenario_text(prefix + accepted + "\n")) << key << " = " << accepted;
+    EXPECT_THROW(parse_scenario_text(prefix + rejected + "\n"), std::runtime_error)
+        << key << " = " << rejected;
+  }
 }
 
 }  // namespace
