@@ -11,21 +11,17 @@
 namespace cdsf::core {
 
 const char* admission_policy_name(AdmissionPolicy policy) {
-  switch (policy) {
-    case AdmissionPolicy::kAcceptAll: return "accept-all";
-    case AdmissionPolicy::kBoundedQueue: return "bounded";
-    case AdmissionPolicy::kRho2Aware: return "rho2";
-  }
-  return "unknown";
+  return util::name_of(kAdmissionPolicyNames, policy);
 }
 
 AdmissionPolicy admission_policy_from_name(const std::string& name) {
-  if (name == "accept-all") return AdmissionPolicy::kAcceptAll;
-  if (name == "bounded") return AdmissionPolicy::kBoundedQueue;
-  if (name == "rho2") return AdmissionPolicy::kRho2Aware;
-  throw std::invalid_argument(
-      "admission policy must be one of accept-all | bounded | rho2, got '" + name + "'");
+  if (const auto policy = util::value_named(kAdmissionPolicyNames, name)) return *policy;
+  throw std::invalid_argument("admission policy must be one of " +
+                              util::joined_names(kAdmissionPolicyNames) + ", got '" + name +
+                              "'");
 }
+
+const char* queue_order_name(QueueOrder order) { return util::name_of(kQueueOrderNames, order); }
 
 const char* degradation_tier_name(DegradationTier tier) {
   switch (tier) {

@@ -36,6 +36,8 @@
 #include <string>
 #include <vector>
 
+#include "util/names.hpp"
+
 namespace cdsf::core {
 
 /// What the manager does with an arriving application (see file comment).
@@ -45,8 +47,14 @@ enum class AdmissionPolicy : std::uint8_t {
   kRho2Aware,
 };
 
-/// Stable identifier ("accept-all" | "bounded" | "rho2") — used by the
-/// [admission] scenario section and the --admission CLI flag.
+/// Stable identifiers — used by the [admission] scenario section and the
+/// --admission CLI flag.
+inline constexpr util::NameTable<AdmissionPolicy, 3> kAdmissionPolicyNames{{
+    {AdmissionPolicy::kAcceptAll, "accept-all"},
+    {AdmissionPolicy::kBoundedQueue, "bounded"},
+    {AdmissionPolicy::kRho2Aware, "rho2"},
+}};
+
 [[nodiscard]] const char* admission_policy_name(AdmissionPolicy policy);
 
 /// Inverse of admission_policy_name. Throws std::invalid_argument on an
@@ -58,6 +66,15 @@ enum class QueueOrder : std::uint8_t {
   kFifo,  // arrival order (the accept-all queue's order)
   kEdf,   // earliest absolute deadline first; ties resolve to arrival order
 };
+
+/// Stable identifiers — used by the [admission] scenario section, the
+/// --queue-order CLI flag and the dynamic report.
+inline constexpr util::NameTable<QueueOrder, 2> kQueueOrderNames{{
+    {QueueOrder::kFifo, "fifo"},
+    {QueueOrder::kEdf, "edf"},
+}};
+
+[[nodiscard]] const char* queue_order_name(QueueOrder order);
 
 /// The graceful-degradation ladder: staged responses to sustained
 /// overload, stepped one tier per arrival by the overload EWMA. Each tier

@@ -2,15 +2,23 @@
 
 #include <cmath>
 #include <fstream>
-#include <map>
+#include <functional>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "cdsf/paper_example.hpp"
+#include "util/names.hpp"
 
 namespace cdsf::core {
 
 namespace {
+
+using Failure = sim::SimConfig::Failure;
+using FailureKind = sim::SimConfig::FailureKind;
+using MasterCheckpoint = sim::SimConfig::MasterCheckpoint;
+using Quarantine = sim::SimConfig::Quarantine;
 
 [[noreturn]] void parse_error(std::size_t line, const std::string& message) {
   throw std::runtime_error("scenario parse error (line " + std::to_string(line) + "): " +
@@ -32,58 +40,27 @@ std::vector<std::string> split_whitespace(const std::string& text) {
   return out;
 }
 
-double parse_double(const std::string& text, std::size_t line) {
+/// A whole-token double (V = double) or integer (V = std::int64_t).
+template <class V>
+V parse_number(const std::string& text, std::size_t line) {
+  constexpr bool kReal = std::is_floating_point_v<V>;
+  const std::string what = kReal ? "number" : "integer";
   try {
     std::size_t pos = 0;
-    const double value = std::stod(text, &pos);
-    if (pos != text.size()) parse_error(line, "trailing characters in number '" + text + "'");
+    V value{};
+    if constexpr (kReal) {
+      value = std::stod(text, &pos);
+    } else {
+      value = std::stoll(text, &pos);
+    }
+    if (pos != text.size()) parse_error(line, "trailing characters in " + what + " '" + text + "'");
     return value;
   } catch (const std::invalid_argument&) {
-    parse_error(line, "expected a number, got '" + text + "'");
+    parse_error(line, "expected " + std::string(kReal ? "a " : "an ") + what + ", got '" + text +
+                          "'");
   } catch (const std::out_of_range&) {
-    parse_error(line, "number out of range: '" + text + "'");
+    parse_error(line, what + " out of range: '" + text + "'");
   }
-}
-
-std::int64_t parse_int(const std::string& text, std::size_t line) {
-  try {
-    std::size_t pos = 0;
-    const std::int64_t value = std::stoll(text, &pos);
-    if (pos != text.size()) parse_error(line, "trailing characters in integer '" + text + "'");
-    return value;
-  } catch (const std::invalid_argument&) {
-    parse_error(line, "expected an integer, got '" + text + "'");
-  } catch (const std::out_of_range&) {
-    parse_error(line, "integer out of range: '" + text + "'");
-  }
-}
-
-workload::IterationProfile parse_profile(const std::string& text, std::size_t line) {
-  if (text == "flat") return workload::IterationProfile::kFlat;
-  if (text == "increasing") return workload::IterationProfile::kIncreasing;
-  if (text == "decreasing") return workload::IterationProfile::kDecreasing;
-  if (text == "parabolic") return workload::IterationProfile::kParabolic;
-  parse_error(line, "unknown iteration profile '" + text + "'");
-}
-
-workload::TimeLawKind parse_law(const std::string& text, std::size_t line) {
-  if (text == "normal") return workload::TimeLawKind::kNormal;
-  if (text == "lognormal") return workload::TimeLawKind::kLogNormal;
-  if (text == "gamma") return workload::TimeLawKind::kGamma;
-  if (text == "uniform") return workload::TimeLawKind::kUniform;
-  if (text == "exponential") return workload::TimeLawKind::kExponential;
-  parse_error(line, "unknown time law '" + text + "'");
-}
-
-std::string law_name(workload::TimeLawKind kind) {
-  switch (kind) {
-    case workload::TimeLawKind::kNormal: return "normal";
-    case workload::TimeLawKind::kLogNormal: return "lognormal";
-    case workload::TimeLawKind::kGamma: return "gamma";
-    case workload::TimeLawKind::kUniform: return "uniform";
-    case workload::TimeLawKind::kExponential: return "exponential";
-  }
-  return "normal";
 }
 
 /// "value:probability" pulse.
@@ -92,381 +69,402 @@ pmf::Pulse parse_pulse(const std::string& token, std::size_t line) {
   if (colon == std::string::npos) {
     parse_error(line, "pulse must be 'availability:probability', got '" + token + "'");
   }
-  return pmf::Pulse{parse_double(token.substr(0, colon), line),
-                    parse_double(token.substr(colon + 1), line)};
+  return pmf::Pulse{parse_number<double>(token.substr(0, colon), line),
+                    parse_number<double>(token.substr(colon + 1), line)};
 }
 
-// Raw, order-preserving view of the file before semantic resolution.
+// ---- vocabularies -----------------------------------------------------------
+
+// Lowercase file names; workload::to_string keeps the capitalized display
+// names that test and bench labels use.
+constexpr util::NameTable<workload::TimeLawKind, 5> kTimeLawNames{{
+    {workload::TimeLawKind::kNormal, "normal"},
+    {workload::TimeLawKind::kLogNormal, "lognormal"},
+    {workload::TimeLawKind::kGamma, "gamma"},
+    {workload::TimeLawKind::kUniform, "uniform"},
+    {workload::TimeLawKind::kExponential, "exponential"},
+}};
+
+constexpr util::NameTable<FailureKind, 5> kFailureKindNames{{
+    {FailureKind::kDegrade, "degrade"},
+    {FailureKind::kCrash, "crash"},
+    {FailureKind::kCrashRecover, "crash-recover"},
+    {FailureKind::kMasterCrashRestart, "master-restart"},
+    {FailureKind::kSilentCorrupt, "silent-corrupt"},
+}};
+
+bool restarts(FailureKind kind) {
+  return kind == FailureKind::kCrashRecover || kind == FailureKind::kMasterCrashRestart;
+}
+
+// ---- value domains ----------------------------------------------------------
+
+/// The values a numeric key admits. Every test is written so that NaN
+/// fails it. kAnyNumber has no test: the semantic resolution checks those
+/// values (and throws std::invalid_argument).
+struct Domain {
+  const char* text;
+  bool (*admits)(double);
+};
+constexpr Domain kAnyNumber{"", nullptr};
+constexpr Domain kProbability{"in [0, 1]", [](double v) { return v >= 0.0 && v <= 1.0; }};
+constexpr Domain kUnitInterval{"in (0, 1]", [](double v) { return v > 0.0 && v <= 1.0; }};
+constexpr Domain kBelowOne{"in [0, 1)", [](double v) { return v >= 0.0 && v < 1.0; }};
+constexpr Domain kPositive{"> 0", [](double v) { return v > 0.0; }};
+constexpr Domain kNonNegative{">= 0", [](double v) { return v >= 0.0; }};
+constexpr Domain kAtLeastOne{">= 1", [](double v) { return v >= 1.0; }};
+constexpr Domain kAboveOne{"> 1", [](double v) { return v > 1.0; }};
+constexpr Domain kFlag{"0 or 1", [](double v) { return v == 0.0 || v == 1.0; }};
+
+// ---- keys and sections ------------------------------------------------------
+
+/// One key of a section whose keys set fields of T: its name, how its text
+/// sets the field, how the field is written back, and when the writer
+/// emits it (always when `emitted` is null).
+template <class T>
+struct Key {
+  const char* name;
+  std::function<void(T&, const std::string&, std::size_t)> read;
+  std::function<void(std::ostream&, const T&)> write;
+  bool (*emitted)(const T&) = nullptr;
+};
+
+template <class T>
+using EmitRule = std::type_identity_t<bool (*)(const T&)>;
+
+/// A number, count or 0/1 flag (by the field's type) in `domain`.
+template <class T, class V>
+Key<T> number(const char* name, V T::*field, Domain domain, EmitRule<T> emitted = nullptr) {
+  return {name,
+          [name, field, domain](T& target, const std::string& text, std::size_t line) {
+            using Parsed = std::conditional_t<std::is_floating_point_v<V>, double, std::int64_t>;
+            const auto value = parse_number<Parsed>(text, line);
+            if (domain.admits != nullptr && !domain.admits(static_cast<double>(value))) {
+              parse_error(line, std::string(name) + " must be " + domain.text + ", got '" +
+                                    text + "'");
+            }
+            target.*field = static_cast<V>(value);
+          },
+          [field](std::ostream& out, const T& source) { out << source.*field; }, emitted};
+}
+
+/// One name of a vocabulary.
+template <class T, class E, std::size_t N>
+Key<T> word(const char* name, E T::*field, const util::NameTable<E, N>& names) {
+  return {name,
+          [name, field, &names](T& target, const std::string& text, std::size_t line) {
+            const std::optional<E> value = util::value_named(names, text);
+            if (!value) {
+              parse_error(line, std::string(name) + " must be one of " +
+                                    util::joined_names(names) + ", got '" + text + "'");
+            }
+            target.*field = *value;
+          },
+          [field, &names](std::ostream& out, const T& source) {
+            out << util::name_of(names, source.*field);
+          }};
+}
+
+/// The rest of the line.
+template <class T>
+Key<T> verbatim(const char* name, std::string T::*field, EmitRule<T> emitted) {
+  return {name, [field](T& target, const std::string& text, std::size_t) { target.*field = text; },
+          [field](std::ostream& out, const T& source) { out << source.*field; }, emitted};
+}
+
+/// Whitespace-separated numbers.
+template <class T>
+Key<T> numbers(const char* name, std::vector<double> T::*field) {
+  return {name,
+          [field](T& target, const std::string& text, std::size_t line) {
+            std::vector<double> values;
+            for (const std::string& token : split_whitespace(text)) {
+              values.push_back(parse_number<double>(token, line));
+            }
+            target.*field = std::move(values);
+          },
+          [field](std::ostream& out, const T& source) {
+            const char* separator = "";
+            for (const double value : source.*field) {
+              out << separator << value;
+              separator = " ";
+            }
+          }};
+}
+
+/// A section whose keys set the fields of one T.
+template <class T>
+struct Section {
+  const char* name;
+  /// The presence rule, applied when the header is read (null: none).
+  void (*opened)(T&);
+  /// Whether the writer emits the section (null: always).
+  bool (*emitted)(const T&);
+  /// In the order the writer emits them.
+  std::vector<Key<T>> keys;
+};
+
+// An [application] section before semantic resolution.
 struct RawApplication {
   std::string name;
+  std::size_t line = 0;
   std::int64_t serial = -1;
   std::int64_t parallel = -1;
   std::vector<double> means;
   double cov = 0.1;
   workload::TimeLawKind law = workload::TimeLawKind::kNormal;
   workload::IterationProfile profile = workload::IterationProfile::kFlat;
-  std::size_t line = 0;
 };
+
+/// The file format of every section but [platform] and [availability]:
+/// one declaration per key, read by both parse_scenario and
+/// scenario_to_text.
+struct Schema {
+  Section<RawApplication> application{
+      "application", nullptr, nullptr,
+      {number("serial", &RawApplication::serial, kAnyNumber),
+       number("parallel", &RawApplication::parallel, kAnyNumber),
+       numbers("mean", &RawApplication::means),
+       number("cov", &RawApplication::cov, kAnyNumber),
+       word("law", &RawApplication::law, kTimeLawNames),
+       word("profile", &RawApplication::profile, workload::kIterationProfileNames)}};
+
+  Section<Scenario> deadline{
+      "deadline", nullptr, nullptr, {number("value", &Scenario::deadline, kAnyNumber)}};
+
+  Section<Failure> failure{
+      "failure", nullptr, nullptr,
+      {number("worker", &Failure::worker, kNonNegative,
+              [](const Failure& f) { return f.kind != FailureKind::kMasterCrashRestart; }),
+       number("time", &Failure::time, kNonNegative),
+       word("kind", &Failure::kind, kFailureKindNames),
+       number("residual", &Failure::residual_availability, kUnitInterval,
+              [](const Failure& f) { return f.kind == FailureKind::kDegrade; }),
+       number("recovery", &Failure::recovery_time, kAnyNumber,
+              [](const Failure& f) { return restarts(f.kind); }),
+       number("probability", &Failure::corrupt_probability, kUnitInterval,
+              [](const Failure& f) { return f.kind == FailureKind::kSilentCorrupt; })}};
+
+  Section<sim::ChannelModel> channel{
+      "channel", nullptr, [](const sim::ChannelModel& c) { return c.faulty(); },
+      {number("drop-to-worker", &sim::ChannelModel::drop_to_worker, kProbability),
+       number("drop-to-master", &sim::ChannelModel::drop_to_master, kProbability),
+       number("duplicate-to-worker", &sim::ChannelModel::duplicate_to_worker, kProbability),
+       number("duplicate-to-master", &sim::ChannelModel::duplicate_to_master, kProbability),
+       number("reorder-to-worker", &sim::ChannelModel::reorder_to_worker, kProbability),
+       number("reorder-to-master", &sim::ChannelModel::reorder_to_master, kProbability),
+       number("reorder-delay", &sim::ChannelModel::reorder_delay, kPositive),
+       number("burst-gap-mean", &sim::ChannelModel::burst_gap_mean, kNonNegative),
+       number("burst-duration", &sim::ChannelModel::burst_duration, kNonNegative),
+       number("rto", &sim::ChannelModel::rto, kPositive),
+       number("rto-backoff", &sim::ChannelModel::rto_backoff, kAtLeastOne),
+       number("max-retransmits", &sim::ChannelModel::max_retransmits, kNonNegative)}};
+
+  Section<MasterCheckpoint> checkpoint{
+      "checkpoint", [](MasterCheckpoint& c) { c.enabled = true; },
+      [](const MasterCheckpoint& c) { return c.enabled; },
+      {number("interval", &MasterCheckpoint::interval, kPositive),
+       verbatim("json", &MasterCheckpoint::json_path,
+                [](const MasterCheckpoint& c) { return !c.json_path.empty(); })}};
+
+  // The section arms the EWMA tracker; 'fail-slow = 0' keeps only the
+  // audit layer (audit-rate) active.
+  Section<Quarantine> quarantine{
+      "quarantine", [](Quarantine& q) { q.enabled = true; },
+      [](const Quarantine& q) { return q.armed(); },
+      {number("fail-slow", &Quarantine::enabled, kFlag),
+       number("ewma-alpha", &Quarantine::ewma_alpha, kUnitInterval),
+       number("slowdown-threshold", &Quarantine::slowdown_threshold, kAboveOne),
+       number("min-observations", &Quarantine::min_observations, kAtLeastOne),
+       number("probe-interval", &Quarantine::probe_interval, kPositive),
+       number("probe-successes", &Quarantine::probe_successes, kAtLeastOne),
+       number("audit-rate", &Quarantine::audit_rate, kProbability),
+       number("audit-mismatch-limit", &Quarantine::audit_mismatch_limit, kAtLeastOne)}};
+
+  Section<sim::ChannelModel> integrity{
+      "integrity", nullptr,
+      [](const sim::ChannelModel& c) {
+        return c.corrupt_to_worker > 0.0 || c.corrupt_to_master > 0.0;
+      },
+      {number("corrupt-to-worker", &sim::ChannelModel::corrupt_to_worker, kProbability),
+       number("corrupt-to-master", &sim::ChannelModel::corrupt_to_master, kProbability)}};
+
+  // Presence enables: a bare [admission] with just a capacity means the
+  // bounded policy.
+  Section<AdmissionConfig> admission{
+      "admission",
+      [](AdmissionConfig& a) {
+        if (!a.active()) a.policy = AdmissionPolicy::kBoundedQueue;
+      },
+      [](const AdmissionConfig& a) { return a.active(); },
+      {word("policy", &AdmissionConfig::policy, kAdmissionPolicyNames),
+       number("queue-capacity", &AdmissionConfig::queue_capacity, kAtLeastOne),
+       word("order", &AdmissionConfig::queue_order, kQueueOrderNames),
+       number("admit-floor", &AdmissionConfig::admit_floor, kProbability,
+              [](const AdmissionConfig& a) { return a.admit_floor > 0.0; }),
+       number("shed-floor", &AdmissionConfig::shed_floor, kProbability,
+              [](const AdmissionConfig& a) { return a.shed_floor > 0.0; }),
+       number("ladder", &AdmissionConfig::ladder, kFlag, laddered),
+       number("ladder-alpha", &AdmissionConfig::ladder_alpha, kUnitInterval, laddered),
+       number("overload-threshold", &AdmissionConfig::overload_threshold, kUnitInterval,
+              laddered),
+       number("recover-threshold", &AdmissionConfig::recover_threshold, kBelowOne,
+              laddered)}};
+
+  static bool laddered(const AdmissionConfig& a) { return a.ladder; }
+
+  static const Schema& get() {
+    static const Schema schema;
+    return schema;
+  }
+};
+
+// ---- reading ----------------------------------------------------------------
+
 struct RawCase {
   std::string name;
   std::vector<std::pair<std::string, std::vector<pmf::Pulse>>> per_type;
   std::size_t line = 0;
 };
 
-sim::SimConfig::FailureKind parse_failure_kind(const std::string& text, std::size_t line) {
-  if (text == "degrade") return sim::SimConfig::FailureKind::kDegrade;
-  if (text == "crash") return sim::SimConfig::FailureKind::kCrash;
-  if (text == "crash-recover") return sim::SimConfig::FailureKind::kCrashRecover;
-  if (text == "master-restart") return sim::SimConfig::FailureKind::kMasterCrashRestart;
-  if (text == "silent-corrupt") return sim::SimConfig::FailureKind::kSilentCorrupt;
-  parse_error(line, "unknown failure kind '" + text +
-                        "' (degrade|crash|crash-recover|master-restart|silent-corrupt)");
+/// The file as read, before semantic resolution; `scenario` already holds
+/// every section that needs none.
+struct Reading {
+  std::vector<sysmodel::ProcessorType> types;
+  std::vector<RawCase> cases;
+  std::vector<RawApplication> applications;
+  Scenario scenario;
+};
+
+/// Sets one key of the section being read.
+using Assign = std::function<void(const std::string& key, const std::string& value,
+                                  std::size_t line)>;
+
+template <class T>
+Assign open_keys(const Section<T>& section, T& target) {
+  if (section.opened != nullptr) section.opened(target);
+  return [&section, &target](const std::string& key, const std::string& value,
+                             std::size_t line) {
+    for (const Key<T>& entry : section.keys) {
+      if (key == entry.name) return entry.read(target, value, line);
+    }
+    parse_error(line, "unknown " + std::string(section.name) + " key '" + key + "'");
+  };
 }
 
-std::string failure_kind_name(sim::SimConfig::FailureKind kind) {
-  switch (kind) {
-    case sim::SimConfig::FailureKind::kDegrade: return "degrade";
-    case sim::SimConfig::FailureKind::kCrash: return "crash";
-    case sim::SimConfig::FailureKind::kCrashRecover: return "crash-recover";
-    case sim::SimConfig::FailureKind::kMasterCrashRestart: return "master-restart";
-    case sim::SimConfig::FailureKind::kSilentCorrupt: return "silent-corrupt";
+/// Applies the header rules of section `header[0]` (a required or a
+/// forbidden name, the presence rule) and returns how its keys are set.
+Assign open_section(Reading& reading, const std::vector<std::string>& header,
+                    std::size_t line) {
+  const Schema& schema = Schema::get();
+  const std::string& name = header[0];
+  const auto named = [&](const char* section) {
+    if (name != section) return false;
+    if (header.size() != 2) parse_error(line, "[" + name + " <name>] expected");
+    return true;
+  };
+  const auto unnamed = [&](const char* section) {
+    if (name != section) return false;
+    if (header.size() != 1) parse_error(line, "[" + name + "] takes no name");
+    return true;
+  };
+
+  // [platform] and [deadline] ignore a name.
+  if (name == "platform") {
+    return [&types = reading.types](const std::string& key, const std::string& value,
+                                    std::size_t at) {
+      if (key != "type") parse_error(at, "only 'type = name count' allowed in [platform]");
+      const std::vector<std::string> parts = split_whitespace(value);
+      if (parts.size() != 2) parse_error(at, "'type = name count' expected");
+      const auto count = parse_number<std::int64_t>(parts[1], at);
+      if (count <= 0) parse_error(at, "processor count must be positive");
+      types.push_back({parts[0], static_cast<std::size_t>(count)});
+    };
   }
-  return "degrade";
+  if (named("availability")) {
+    reading.cases.push_back(RawCase{header[1], {}, line});
+    return [&raw = reading.cases.back()](const std::string& key, const std::string& value,
+                                         std::size_t at) {
+      std::vector<pmf::Pulse> pulses;
+      for (const std::string& token : split_whitespace(value)) {
+        pulses.push_back(parse_pulse(token, at));
+      }
+      if (pulses.empty()) parse_error(at, "at least one pulse required");
+      raw.per_type.emplace_back(key, std::move(pulses));
+    };
+  }
+  if (named(schema.application.name)) {
+    RawApplication& raw = reading.applications.emplace_back();
+    raw.name = header[1];
+    raw.line = line;
+    return open_keys(schema.application, raw);
+  }
+  if (name == schema.deadline.name) return open_keys(schema.deadline, reading.scenario);
+  if (unnamed(schema.failure.name)) {
+    return open_keys(schema.failure, reading.scenario.failures.emplace_back());
+  }
+  if (unnamed(schema.channel.name)) return open_keys(schema.channel, reading.scenario.channel);
+  if (unnamed(schema.checkpoint.name)) {
+    return open_keys(schema.checkpoint, reading.scenario.checkpoint);
+  }
+  if (unnamed(schema.quarantine.name)) {
+    return open_keys(schema.quarantine, reading.scenario.quarantine);
+  }
+  if (unnamed(schema.integrity.name)) {
+    return open_keys(schema.integrity, reading.scenario.channel);
+  }
+  if (unnamed(schema.admission.name)) {
+    return open_keys(schema.admission, reading.scenario.admission);
+  }
+  parse_error(line, "unknown section '" + name + "'");
 }
 
-/// Probability knob in [0, 1].
-double parse_probability(const std::string& text, std::size_t line) {
-  const double p = parse_double(text, line);
-  if (!(p >= 0.0 && p <= 1.0)) parse_error(line, "probability must be in [0, 1]");
-  return p;
+// ---- writing ----------------------------------------------------------------
+
+template <class T>
+void write_section(std::ostream& out, const Section<T>& section, const T& source,
+                   const std::string& label = "") {
+  if (section.emitted != nullptr && !section.emitted(source)) return;
+  out << "\n[" << section.name << (label.empty() ? "" : " ") << label << "]\n";
+  for (const Key<T>& key : section.keys) {
+    if (key.emitted != nullptr && !key.emitted(source)) continue;
+    out << key.name << " = ";
+    key.write(out, source);
+    out << "\n";
+  }
 }
 
 }  // namespace
 
 Scenario parse_scenario(std::istream& in) {
-  std::vector<sysmodel::ProcessorType> types;
-  std::vector<RawCase> raw_cases;
-  std::vector<RawApplication> raw_apps;
-  std::vector<sim::SimConfig::Failure> failures;
-  sim::ChannelModel channel;
-  sim::SimConfig::MasterCheckpoint checkpoint;
-  sim::SimConfig::Quarantine quarantine;
-  AdmissionConfig admission;
-  double deadline = -1.0;
-
-  enum class Section {
-    kNone,
-    kPlatform,
-    kAvailability,
-    kApplication,
-    kDeadline,
-    kFailure,
-    kChannel,
-    kCheckpoint,
-    kQuarantine,
-    kIntegrity,
-    kAdmission,
+  Reading reading;
+  Assign assign = [](const std::string&, const std::string&, std::size_t line) {
+    parse_error(line, "key outside of any section");
   };
-  Section section = Section::kNone;
-  RawCase* current_case = nullptr;
-  RawApplication* current_app = nullptr;
-  sim::SimConfig::Failure* current_failure = nullptr;
-
-  std::string line_text;
+  std::string text;
   std::size_t line = 0;
-  while (std::getline(in, line_text)) {
+  while (std::getline(in, text)) {
     ++line;
-    std::string text = line_text;
-    if (const auto hash = text.find('#'); hash != std::string::npos) text = text.substr(0, hash);
+    if (const auto hash = text.find('#'); hash != std::string::npos) text.resize(hash);
     text = trim(text);
     if (text.empty()) continue;
-
     if (text.front() == '[') {
       if (text.back() != ']') parse_error(line, "unterminated section header");
       const std::vector<std::string> header = split_whitespace(text.substr(1, text.size() - 2));
       if (header.empty()) parse_error(line, "empty section header");
-      if (header[0] == "platform") {
-        section = Section::kPlatform;
-      } else if (header[0] == "availability") {
-        if (header.size() != 2) parse_error(line, "[availability <name>] expected");
-        section = Section::kAvailability;
-        raw_cases.push_back(RawCase{header[1], {}, line});
-        current_case = &raw_cases.back();
-      } else if (header[0] == "application") {
-        if (header.size() != 2) parse_error(line, "[application <name>] expected");
-        section = Section::kApplication;
-        raw_apps.push_back(RawApplication{});
-        current_app = &raw_apps.back();
-        current_app->name = header[1];
-        current_app->line = line;
-      } else if (header[0] == "deadline") {
-        section = Section::kDeadline;
-      } else if (header[0] == "failure") {
-        if (header.size() != 1) parse_error(line, "[failure] takes no name");
-        section = Section::kFailure;
-        failures.push_back(sim::SimConfig::Failure{});
-        current_failure = &failures.back();
-      } else if (header[0] == "channel") {
-        if (header.size() != 1) parse_error(line, "[channel] takes no name");
-        section = Section::kChannel;
-      } else if (header[0] == "checkpoint") {
-        if (header.size() != 1) parse_error(line, "[checkpoint] takes no name");
-        section = Section::kCheckpoint;
-        checkpoint.enabled = true;
-      } else if (header[0] == "quarantine") {
-        if (header.size() != 1) parse_error(line, "[quarantine] takes no name");
-        section = Section::kQuarantine;
-        quarantine.enabled = true;
-      } else if (header[0] == "integrity") {
-        if (header.size() != 1) parse_error(line, "[integrity] takes no name");
-        section = Section::kIntegrity;
-      } else if (header[0] == "admission") {
-        if (header.size() != 1) parse_error(line, "[admission] takes no name");
-        section = Section::kAdmission;
-        // Presence enables: default to the bounded policy so a bare
-        // [admission] section with just a capacity is meaningful.
-        if (!admission.active()) admission.policy = AdmissionPolicy::kBoundedQueue;
-      } else {
-        parse_error(line, "unknown section '" + header[0] + "'");
-      }
+      assign = open_section(reading, header, line);
       continue;
     }
-
     const auto eq = text.find('=');
     if (eq == std::string::npos) parse_error(line, "expected 'key = value'");
-    const std::string key = trim(text.substr(0, eq));
-    const std::string value = trim(text.substr(eq + 1));
-
-    switch (section) {
-      case Section::kNone:
-        parse_error(line, "key outside of any section");
-      case Section::kPlatform: {
-        if (key != "type") parse_error(line, "only 'type = name count' allowed in [platform]");
-        const std::vector<std::string> parts = split_whitespace(value);
-        if (parts.size() != 2) parse_error(line, "'type = name count' expected");
-        const std::int64_t count = parse_int(parts[1], line);
-        if (count <= 0) parse_error(line, "processor count must be positive");
-        types.push_back({parts[0], static_cast<std::size_t>(count)});
-        break;
-      }
-      case Section::kAvailability: {
-        std::vector<pmf::Pulse> pulses;
-        for (const std::string& token : split_whitespace(value)) {
-          pulses.push_back(parse_pulse(token, line));
-        }
-        if (pulses.empty()) parse_error(line, "at least one pulse required");
-        current_case->per_type.emplace_back(key, std::move(pulses));
-        break;
-      }
-      case Section::kApplication: {
-        if (key == "serial") {
-          current_app->serial = parse_int(value, line);
-        } else if (key == "parallel") {
-          current_app->parallel = parse_int(value, line);
-        } else if (key == "mean") {
-          for (const std::string& token : split_whitespace(value)) {
-            current_app->means.push_back(parse_double(token, line));
-          }
-        } else if (key == "cov") {
-          current_app->cov = parse_double(value, line);
-        } else if (key == "law") {
-          current_app->law = parse_law(value, line);
-        } else if (key == "profile") {
-          current_app->profile = parse_profile(value, line);
-        } else {
-          parse_error(line, "unknown application key '" + key + "'");
-        }
-        break;
-      }
-      case Section::kDeadline: {
-        if (key != "value") parse_error(line, "only 'value = <number>' allowed in [deadline]");
-        deadline = parse_double(value, line);
-        break;
-      }
-      case Section::kFailure: {
-        if (key == "worker") {
-          const std::int64_t worker = parse_int(value, line);
-          if (worker < 0) parse_error(line, "failure worker must be >= 0");
-          current_failure->worker = static_cast<std::size_t>(worker);
-        } else if (key == "time") {
-          const double time = parse_double(value, line);
-          if (time < 0.0) parse_error(line, "failure time must be >= 0");
-          current_failure->time = time;
-        } else if (key == "kind") {
-          current_failure->kind = parse_failure_kind(value, line);
-        } else if (key == "residual") {
-          const double residual = parse_double(value, line);
-          if (!(residual > 0.0 && residual <= 1.0)) {
-            parse_error(line, "failure residual must be in (0, 1]");
-          }
-          current_failure->residual_availability = residual;
-        } else if (key == "recovery") {
-          current_failure->recovery_time = parse_double(value, line);
-        } else if (key == "probability") {
-          const double p = parse_probability(value, line);
-          if (!(p > 0.0)) parse_error(line, "failure probability must be in (0, 1]");
-          current_failure->corrupt_probability = p;
-        } else {
-          parse_error(line, "unknown failure key '" + key + "'");
-        }
-        break;
-      }
-      case Section::kChannel: {
-        if (key == "drop-to-worker") {
-          channel.drop_to_worker = parse_probability(value, line);
-        } else if (key == "drop-to-master") {
-          channel.drop_to_master = parse_probability(value, line);
-        } else if (key == "duplicate-to-worker") {
-          channel.duplicate_to_worker = parse_probability(value, line);
-        } else if (key == "duplicate-to-master") {
-          channel.duplicate_to_master = parse_probability(value, line);
-        } else if (key == "reorder-to-worker") {
-          channel.reorder_to_worker = parse_probability(value, line);
-        } else if (key == "reorder-to-master") {
-          channel.reorder_to_master = parse_probability(value, line);
-        } else if (key == "reorder-delay") {
-          const double delay = parse_double(value, line);
-          if (!(delay > 0.0)) parse_error(line, "reorder-delay must be > 0");
-          channel.reorder_delay = delay;
-        } else if (key == "burst-gap-mean") {
-          const double gap = parse_double(value, line);
-          if (gap < 0.0) parse_error(line, "burst-gap-mean must be >= 0");
-          channel.burst_gap_mean = gap;
-        } else if (key == "burst-duration") {
-          const double duration = parse_double(value, line);
-          if (duration < 0.0) parse_error(line, "burst-duration must be >= 0");
-          channel.burst_duration = duration;
-        } else if (key == "rto") {
-          const double rto = parse_double(value, line);
-          if (!(rto > 0.0)) parse_error(line, "rto must be > 0");
-          channel.rto = rto;
-        } else if (key == "rto-backoff") {
-          const double backoff = parse_double(value, line);
-          if (!(backoff >= 1.0)) parse_error(line, "rto-backoff must be >= 1");
-          channel.rto_backoff = backoff;
-        } else if (key == "max-retransmits") {
-          const std::int64_t n = parse_int(value, line);
-          if (n < 0) parse_error(line, "max-retransmits must be >= 0");
-          channel.max_retransmits = static_cast<std::size_t>(n);
-        } else {
-          parse_error(line, "unknown channel key '" + key + "'");
-        }
-        break;
-      }
-      case Section::kCheckpoint: {
-        if (key == "interval") {
-          const double interval = parse_double(value, line);
-          if (!(interval > 0.0)) parse_error(line, "checkpoint interval must be > 0");
-          checkpoint.interval = interval;
-        } else if (key == "json") {
-          checkpoint.json_path = value;
-        } else {
-          parse_error(line, "unknown checkpoint key '" + key + "'");
-        }
-        break;
-      }
-      case Section::kQuarantine: {
-        if (key == "fail-slow") {
-          // The section arms the EWMA tracker by default; 'fail-slow = 0'
-          // keeps only the audit layer (audit-rate) active.
-          const std::int64_t v = parse_int(value, line);
-          if (v != 0 && v != 1) parse_error(line, "fail-slow must be 0 or 1");
-          quarantine.enabled = v != 0;
-        } else if (key == "ewma-alpha") {
-          const double alpha = parse_double(value, line);
-          if (!(alpha > 0.0 && alpha <= 1.0)) parse_error(line, "ewma-alpha must be in (0, 1]");
-          quarantine.ewma_alpha = alpha;
-        } else if (key == "slowdown-threshold") {
-          const double threshold = parse_double(value, line);
-          if (!(threshold > 1.0)) parse_error(line, "slowdown-threshold must be > 1");
-          quarantine.slowdown_threshold = threshold;
-        } else if (key == "min-observations") {
-          const std::int64_t n = parse_int(value, line);
-          if (n < 1) parse_error(line, "min-observations must be >= 1");
-          quarantine.min_observations = static_cast<std::uint64_t>(n);
-        } else if (key == "probe-interval") {
-          const double interval = parse_double(value, line);
-          if (!(interval > 0.0)) parse_error(line, "probe-interval must be > 0");
-          quarantine.probe_interval = interval;
-        } else if (key == "probe-successes") {
-          const std::int64_t n = parse_int(value, line);
-          if (n < 1) parse_error(line, "probe-successes must be >= 1");
-          quarantine.probe_successes = static_cast<std::size_t>(n);
-        } else if (key == "audit-rate") {
-          quarantine.audit_rate = parse_probability(value, line);
-        } else if (key == "audit-mismatch-limit") {
-          const std::int64_t n = parse_int(value, line);
-          if (n < 1) parse_error(line, "audit-mismatch-limit must be >= 1");
-          quarantine.audit_mismatch_limit = static_cast<std::size_t>(n);
-        } else {
-          parse_error(line, "unknown quarantine key '" + key + "'");
-        }
-        break;
-      }
-      case Section::kIntegrity: {
-        if (key == "corrupt-to-worker") {
-          channel.corrupt_to_worker = parse_probability(value, line);
-        } else if (key == "corrupt-to-master") {
-          channel.corrupt_to_master = parse_probability(value, line);
-        } else {
-          parse_error(line, "unknown integrity key '" + key + "'");
-        }
-        break;
-      }
-      case Section::kAdmission: {
-        if (key == "policy") {
-          try {
-            admission.policy = admission_policy_from_name(value);
-          } catch (const std::invalid_argument& error) {
-            parse_error(line, error.what());
-          }
-        } else if (key == "queue-capacity") {
-          const std::int64_t capacity = parse_int(value, line);
-          if (capacity < 1) parse_error(line, "queue-capacity must be >= 1");
-          admission.queue_capacity = static_cast<std::size_t>(capacity);
-        } else if (key == "order") {
-          if (value == "fifo") {
-            admission.queue_order = QueueOrder::kFifo;
-          } else if (value == "edf") {
-            admission.queue_order = QueueOrder::kEdf;
-          } else {
-            parse_error(line, "order must be fifo or edf, got '" + value + "'");
-          }
-        } else if (key == "admit-floor") {
-          admission.admit_floor = parse_probability(value, line);
-        } else if (key == "shed-floor") {
-          admission.shed_floor = parse_probability(value, line);
-        } else if (key == "ladder") {
-          const std::int64_t v = parse_int(value, line);
-          if (v != 0 && v != 1) parse_error(line, "ladder must be 0 or 1");
-          admission.ladder = v != 0;
-        } else if (key == "ladder-alpha") {
-          const double alpha = parse_double(value, line);
-          if (!(alpha > 0.0 && alpha <= 1.0)) parse_error(line, "ladder-alpha must be in (0, 1]");
-          admission.ladder_alpha = alpha;
-        } else if (key == "overload-threshold") {
-          const double threshold = parse_double(value, line);
-          if (!(threshold > 0.0 && threshold <= 1.0)) {
-            parse_error(line, "overload-threshold must be in (0, 1]");
-          }
-          admission.overload_threshold = threshold;
-        } else if (key == "recover-threshold") {
-          const double threshold = parse_double(value, line);
-          if (!(threshold >= 0.0 && threshold < 1.0)) {
-            parse_error(line, "recover-threshold must be in [0, 1)");
-          }
-          admission.recover_threshold = threshold;
-        } else {
-          parse_error(line, "unknown admission key '" + key + "'");
-        }
-        break;
-      }
-    }
+    assign(trim(text.substr(0, eq)), trim(text.substr(eq + 1)), line);
   }
 
   // ---- semantic resolution ------------------------------------------------
-  if (types.empty()) throw std::invalid_argument("scenario: [platform] defines no types");
-  sysmodel::Platform platform(types);
+  Scenario& scenario = reading.scenario;
+  if (reading.types.empty()) throw std::invalid_argument("scenario: [platform] defines no types");
+  scenario.platform = sysmodel::Platform(reading.types);
+  const sysmodel::Platform& platform = scenario.platform;
   auto type_index = [&](const std::string& name, std::size_t at_line) {
     for (std::size_t j = 0; j < platform.type_count(); ++j) {
       if (platform.type(j).name == name) return j;
@@ -474,11 +472,10 @@ Scenario parse_scenario(std::istream& in) {
     parse_error(at_line, "unknown processor type '" + name + "'");
   };
 
-  if (raw_cases.empty()) {
+  if (reading.cases.empty()) {
     throw std::invalid_argument("scenario: at least one [availability <name>] case required");
   }
-  std::vector<sysmodel::AvailabilitySpec> cases;
-  for (const RawCase& raw : raw_cases) {
+  for (const RawCase& raw : reading.cases) {
     std::vector<pmf::Pmf> per_type(platform.type_count(), pmf::Pmf::delta(1.0));
     std::vector<bool> seen(platform.type_count(), false);
     for (const auto& [name, pulses] : raw.per_type) {
@@ -492,12 +489,13 @@ Scenario parse_scenario(std::istream& in) {
                                     "' missing type '" + platform.type(j).name + "'");
       }
     }
-    cases.emplace_back(raw.name, std::move(per_type));
+    scenario.cases.emplace_back(raw.name, std::move(per_type));
   }
 
-  if (raw_apps.empty()) throw std::invalid_argument("scenario: no applications defined");
-  workload::Batch batch;
-  for (const RawApplication& raw : raw_apps) {
+  if (reading.applications.empty()) {
+    throw std::invalid_argument("scenario: no applications defined");
+  }
+  for (const RawApplication& raw : reading.applications) {
     if (raw.serial < 0 || raw.parallel < 0) {
       throw std::invalid_argument("scenario: application '" + raw.name +
                                   "' needs 'serial' and 'parallel'");
@@ -509,21 +507,20 @@ Scenario parse_scenario(std::istream& in) {
     std::vector<workload::TimeLaw> laws;
     laws.reserve(raw.means.size());
     for (double mean : raw.means) laws.push_back({raw.law, mean, raw.cov});
-    batch.add(workload::Application(raw.name, raw.serial, raw.parallel, std::move(laws),
-                                    raw.profile));
+    scenario.batch.add(workload::Application(raw.name, raw.serial, raw.parallel,
+                                             std::move(laws), raw.profile));
   }
 
-  if (!(deadline > 0.0)) {
+  if (!(scenario.deadline > 0.0)) {
     throw std::invalid_argument("scenario: [deadline] with a positive 'value' required");
   }
 
   std::size_t master_failures = 0;
-  for (const sim::SimConfig::Failure& failure : failures) {
-    if (failure.kind == sim::SimConfig::FailureKind::kCrashRecover ||
-        failure.kind == sim::SimConfig::FailureKind::kMasterCrashRestart) {
+  for (const Failure& failure : scenario.failures) {
+    if (restarts(failure.kind)) {
       if (!std::isfinite(failure.recovery_time) || failure.recovery_time <= failure.time) {
         throw std::invalid_argument("scenario: [failure] with kind = " +
-                                    failure_kind_name(failure.kind) +
+                                    std::string(util::name_of(kFailureKindNames, failure.kind)) +
                                     " needs 'recovery' > 'time'");
       }
     } else if (std::isfinite(failure.recovery_time)) {
@@ -531,23 +528,19 @@ Scenario parse_scenario(std::istream& in) {
           "scenario: [failure] 'recovery' is only valid with kind = crash-recover or "
           "master-restart");
     }
-    if (failure.kind != sim::SimConfig::FailureKind::kSilentCorrupt &&
-        failure.corrupt_probability != 1.0) {
+    if (failure.kind != FailureKind::kSilentCorrupt && failure.corrupt_probability != 1.0) {
       throw std::invalid_argument(
           "scenario: [failure] 'probability' is only valid with kind = silent-corrupt");
     }
-    if (failure.kind == sim::SimConfig::FailureKind::kMasterCrashRestart) ++master_failures;
+    if (failure.kind == FailureKind::kMasterCrashRestart) ++master_failures;
   }
   if (master_failures > 1) {
     throw std::invalid_argument("scenario: at most one master-restart [failure] per scenario");
   }
   // Contradictory [admission] knob combinations fail here, with the other
   // semantic checks, rather than at the first dynamic-manager run.
-  validate_admission(admission);
-
-  return Scenario{std::move(platform), std::move(cases),      std::move(batch),
-                  deadline,            std::move(failures),   std::move(channel),
-                  std::move(checkpoint), quarantine,          admission};
+  validate_admission(scenario.admission);
+  return std::move(reading.scenario);
 }
 
 Scenario parse_scenario_text(const std::string& text) {
@@ -562,6 +555,7 @@ Scenario load_scenario(const std::string& path) {
 }
 
 std::string scenario_to_text(const Scenario& scenario) {
+  const Schema& schema = Schema::get();
   std::ostringstream out;
   out << "[platform]\n";
   for (const auto& type : scenario.platform.types()) {
@@ -577,89 +571,22 @@ std::string scenario_to_text(const Scenario& scenario) {
       out << "\n";
     }
   }
-  for (const auto& app : scenario.batch) {
-    out << "\n[application " << app.name() << "]\n";
-    out << "serial = " << app.serial_iterations() << "\n";
-    out << "parallel = " << app.parallel_iterations() << "\n";
-    out << "mean =";
-    for (std::size_t j = 0; j < app.type_count(); ++j) out << " " << app.mean_time(j);
-    out << "\n";
-    out << "cov = " << app.time_law(0).cov << "\n";
-    out << "law = " << law_name(app.time_law(0).kind) << "\n";
-    out << "profile = " << workload::to_string(app.profile()) << "\n";
+  for (const workload::Application& app : scenario.batch) {
+    std::vector<double> means;
+    for (std::size_t j = 0; j < app.type_count(); ++j) means.push_back(app.mean_time(j));
+    const RawApplication raw{app.name(),         0,
+                             app.serial_iterations(), app.parallel_iterations(),
+                             std::move(means),   app.time_law(0).cov,
+                             app.time_law(0).kind, app.profile()};
+    write_section(out, schema.application, raw, app.name());
   }
-  out << "\n[deadline]\nvalue = " << scenario.deadline << "\n";
-  for (const sim::SimConfig::Failure& failure : scenario.failures) {
-    out << "\n[failure]\n";
-    if (failure.kind != sim::SimConfig::FailureKind::kMasterCrashRestart) {
-      out << "worker = " << failure.worker << "\n";
-    }
-    out << "time = " << failure.time << "\n";
-    out << "kind = " << failure_kind_name(failure.kind) << "\n";
-    if (failure.kind == sim::SimConfig::FailureKind::kDegrade) {
-      out << "residual = " << failure.residual_availability << "\n";
-    } else if (failure.kind == sim::SimConfig::FailureKind::kCrashRecover ||
-               failure.kind == sim::SimConfig::FailureKind::kMasterCrashRestart) {
-      out << "recovery = " << failure.recovery_time << "\n";
-    } else if (failure.kind == sim::SimConfig::FailureKind::kSilentCorrupt) {
-      out << "probability = " << failure.corrupt_probability << "\n";
-    }
-  }
-  if (scenario.channel.faulty()) {
-    const sim::ChannelModel& ch = scenario.channel;
-    out << "\n[channel]\n";
-    out << "drop-to-worker = " << ch.drop_to_worker << "\n";
-    out << "drop-to-master = " << ch.drop_to_master << "\n";
-    out << "duplicate-to-worker = " << ch.duplicate_to_worker << "\n";
-    out << "duplicate-to-master = " << ch.duplicate_to_master << "\n";
-    out << "reorder-to-worker = " << ch.reorder_to_worker << "\n";
-    out << "reorder-to-master = " << ch.reorder_to_master << "\n";
-    out << "reorder-delay = " << ch.reorder_delay << "\n";
-    out << "burst-gap-mean = " << ch.burst_gap_mean << "\n";
-    out << "burst-duration = " << ch.burst_duration << "\n";
-    out << "rto = " << ch.rto << "\n";
-    out << "rto-backoff = " << ch.rto_backoff << "\n";
-    out << "max-retransmits = " << ch.max_retransmits << "\n";
-  }
-  if (scenario.checkpoint.enabled) {
-    out << "\n[checkpoint]\n";
-    out << "interval = " << scenario.checkpoint.interval << "\n";
-    if (!scenario.checkpoint.json_path.empty()) {
-      out << "json = " << scenario.checkpoint.json_path << "\n";
-    }
-  }
-  if (scenario.quarantine.armed()) {
-    const sim::SimConfig::Quarantine& q = scenario.quarantine;
-    out << "\n[quarantine]\n";
-    out << "fail-slow = " << (q.enabled ? 1 : 0) << "\n";
-    out << "ewma-alpha = " << q.ewma_alpha << "\n";
-    out << "slowdown-threshold = " << q.slowdown_threshold << "\n";
-    out << "min-observations = " << q.min_observations << "\n";
-    out << "probe-interval = " << q.probe_interval << "\n";
-    out << "probe-successes = " << q.probe_successes << "\n";
-    out << "audit-rate = " << q.audit_rate << "\n";
-    out << "audit-mismatch-limit = " << q.audit_mismatch_limit << "\n";
-  }
-  if (scenario.channel.corrupt_to_worker > 0.0 || scenario.channel.corrupt_to_master > 0.0) {
-    out << "\n[integrity]\n";
-    out << "corrupt-to-worker = " << scenario.channel.corrupt_to_worker << "\n";
-    out << "corrupt-to-master = " << scenario.channel.corrupt_to_master << "\n";
-  }
-  if (scenario.admission.active()) {
-    const AdmissionConfig& adm = scenario.admission;
-    out << "\n[admission]\n";
-    out << "policy = " << admission_policy_name(adm.policy) << "\n";
-    out << "queue-capacity = " << adm.queue_capacity << "\n";
-    out << "order = " << (adm.queue_order == QueueOrder::kEdf ? "edf" : "fifo") << "\n";
-    if (adm.admit_floor > 0.0) out << "admit-floor = " << adm.admit_floor << "\n";
-    if (adm.shed_floor > 0.0) out << "shed-floor = " << adm.shed_floor << "\n";
-    if (adm.ladder) {
-      out << "ladder = 1\n";
-      out << "ladder-alpha = " << adm.ladder_alpha << "\n";
-      out << "overload-threshold = " << adm.overload_threshold << "\n";
-      out << "recover-threshold = " << adm.recover_threshold << "\n";
-    }
-  }
+  write_section(out, schema.deadline, scenario);
+  for (const Failure& failure : scenario.failures) write_section(out, schema.failure, failure);
+  write_section(out, schema.channel, scenario.channel);
+  write_section(out, schema.checkpoint, scenario.checkpoint);
+  write_section(out, schema.quarantine, scenario.quarantine);
+  write_section(out, schema.integrity, scenario.channel);
+  write_section(out, schema.admission, scenario.admission);
   return out.str();
 }
 

@@ -5,78 +5,26 @@
 //   # comments start with '#'
 //   [platform]
 //   type = type1 4            # name count
-//   type = type2 8
 //
 //   [availability case1]      # one section per case; first case = Â
 //   type1 = 0.75:0.5 1.0:0.5  # availability:probability pulses
-//   type2 = 0.25:0.25 0.5:0.25 1.0:0.5
 //
 //   [application app1]
 //   serial = 439
 //   parallel = 1024
-//   mean = 1800 4000          # per processor type, in [platform] order
-//   cov = 0.1                 # optional, default 0.1
-//   law = normal              # optional: normal|lognormal|gamma|uniform|exponential
+//   mean = 1800               # per processor type, in [platform] order
 //
 //   [deadline]
 //   value = 3250
 //
-//   [failure]                 # optional, repeatable: injected fault
-//   worker = 2                # worker index within the executing group
-//   time = 600                # (ignored for kind = master-restart)
-//   kind = crash-recover      # degrade | crash | crash-recover |
-//                             #   master-restart | silent-corrupt
-//   recovery = 1400           # crash-recover and master-restart only
-//   # residual = 0.001        # degrade only
-//   # probability = 0.5       # silent-corrupt only: chance a chunk
-//                             #   completed after onset is silently wrong
-//
-//   [channel]                 # optional: unreliable master-worker channel
-//   drop-to-worker = 0.1      # (MPI executor only; arms the hardened
-//   drop-to-master = 0.05     #  at-least-once protocol)
-//   duplicate-to-worker = 0.1
-//   duplicate-to-master = 0.1
-//   reorder-to-worker = 0.2
-//   reorder-to-master = 0.2
-//   reorder-delay = 1.5
-//   burst-gap-mean = 400      # 0 disables burst-loss episodes
-//   burst-duration = 20
-//   rto = 2.0                 # first retransmit timeout
-//   rto-backoff = 2.0
-//   max-retransmits = 8       # 0 = never retransmit (ablation arm)
-//
-//   [checkpoint]              # optional: master checkpointing (presence
-//   interval = 250            #  enables it; MPI executor only)
-//   json = out/checkpoint.json  # optional final-state dump
-//
-//   [quarantine]              # optional: fail-slow detection (presence
-//   slowdown-threshold = 4    #  enables the EWMA tracker; both executors)
-//   fail-slow = 1             # optional: 0 keeps only the audit layer
-//   ewma-alpha = 0.3
-//   min-observations = 3
-//   probe-interval = 200      # simulated time between canary probes
-//   probe-successes = 2       # healthy canaries required to reinstate
-//   audit-rate = 0.1          # fraction of chunks re-executed + compared
-//   audit-mismatch-limit = 1  # mismatches before the origin is quarantined
-//
-//   [integrity]               # optional: payload corruption on the channel
-//   corrupt-to-worker = 0.01  # (MPI executor only; checksum framing
-//   corrupt-to-master = 0.01  #  discards, retransmission recovers)
-//
-//   [admission]               # optional: dynamic-manager overload control
-//   policy = rho2             # accept-all | bounded | rho2 (presence
-//   queue-capacity = 4        #  defaults the policy to 'bounded')
-//   order = edf               # fifo | edf
-//   admit-floor = 0.2         # rho2 only: reject below this probability
-//   shed-floor = 0.1          # evict queued jobs below this probability
-//   ladder = 1                # arm the graceful-degradation ladder
-//   ladder-alpha = 0.3
-//   overload-threshold = 0.75
-//   recover-threshold = 0.25
-//
-// Sections may appear in any order; [platform] must precede availability
-// and application sections only logically (the parser resolves names after
-// reading the whole file).
+// Optional sections add injected faults ([failure], repeatable), the MPI
+// channel's faults and protocol ([channel], [integrity]), master
+// checkpoints ([checkpoint]), gray-failure containment ([quarantine]) and
+// the dynamic manager's overload control ([admission]).
+// docs/scenario_format.md lists every key with its domain and default;
+// scenario_io.cpp declares each key once, and both the parser and the
+// writer read those declarations. Sections may appear in any order: the
+// parser resolves names after reading the whole file.
 #pragma once
 
 #include <iosfwd>
@@ -130,8 +78,10 @@ struct Scenario {
 /// cannot be opened.
 [[nodiscard]] Scenario load_scenario(const std::string& path);
 
-/// Serializes a scenario back to the file format (round-trips through
-/// parse_scenario_text).
+/// Serializes a scenario to the file format. Numbers are written at the
+/// stream's default of six significant digits, so a value with more digits
+/// parses back rounded (3250.123456789 comes back as 3250.12); a text this
+/// function wrote parses and writes back to the same bytes.
 [[nodiscard]] std::string scenario_to_text(const Scenario& scenario);
 
 /// The paper's Section IV example as a scenario-file string (used by the

@@ -370,8 +370,7 @@ Json make_dynamic_report(const core::DynamicRunResult& result,
     Json admission = Json::object();
     admission.set("policy", core::admission_policy_name(adm.policy));
     admission.set("queue_capacity", adm.queue_capacity);
-    admission.set("queue_order",
-                  adm.queue_order == core::QueueOrder::kEdf ? "edf" : "fifo");
+    admission.set("queue_order", core::queue_order_name(adm.queue_order));
     if (adm.admit_floor > 0.0) admission.set("admit_floor", adm.admit_floor);
     if (adm.shed_floor > 0.0) admission.set("shed_floor", adm.shed_floor);
     admission.set("ladder", adm.ladder);

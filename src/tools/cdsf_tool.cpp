@@ -49,6 +49,7 @@
 #include "sysmodel/cases.hpp"
 #include "util/cli.hpp"
 #include "util/log.hpp"
+#include "util/names.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -528,11 +529,9 @@ int cmd_dynamic(int argc, char** argv) {
       admission.policy = core::admission_policy_from_name(cli.get_string("admission"));
     }
     admission.queue_capacity = get_count(cli, "queue-capacity");
-    if (cli.get_string("queue-order") == "edf") {
-      admission.queue_order = core::QueueOrder::kEdf;
-    } else if (cli.get_string("queue-order") != "fifo") {
-      throw std::invalid_argument("--queue-order must be fifo or edf");
-    }
+    const auto order = util::value_named(core::kQueueOrderNames, cli.get_string("queue-order"));
+    if (!order) throw std::invalid_argument("--queue-order must be fifo or edf");
+    admission.queue_order = *order;
     admission.admit_floor = cli.get_double("admit-floor");
     admission.shed_floor = cli.get_double("shed-floor");
     admission.ladder = cli.get_flag("ladder");

@@ -19,13 +19,7 @@ std::string to_string(TimeLawKind kind) {
 }
 
 std::string to_string(IterationProfile profile) {
-  switch (profile) {
-    case IterationProfile::kFlat: return "flat";
-    case IterationProfile::kIncreasing: return "increasing";
-    case IterationProfile::kDecreasing: return "decreasing";
-    case IterationProfile::kParabolic: return "parabolic";
-  }
-  return "?";
+  return util::name_of(kIterationProfileNames, profile);
 }
 
 double profile_work_fraction(IterationProfile profile, double x) {

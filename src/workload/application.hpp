@@ -20,6 +20,7 @@
 #include "pmf/parallel_time.hpp"
 #include "pmf/pmf.hpp"
 #include "stats/distribution.hpp"
+#include "util/names.hpp"
 
 namespace cdsf::workload {
 
@@ -39,6 +40,14 @@ enum class TimeLawKind { kNormal, kLogNormal, kGamma, kUniform, kExponential };
 ///   kParabolic  — cost proportional to 6x(1 - x) (mid-heavy, e.g.
 ///                 Mandelbrot-style interior work)
 enum class IterationProfile { kFlat, kIncreasing, kDecreasing, kParabolic };
+
+/// The profiles' stable names (scenario files, bench tables).
+inline constexpr util::NameTable<IterationProfile, 4> kIterationProfileNames{{
+    {IterationProfile::kFlat, "flat"},
+    {IterationProfile::kIncreasing, "increasing"},
+    {IterationProfile::kDecreasing, "decreasing"},
+    {IterationProfile::kParabolic, "parabolic"},
+}};
 
 [[nodiscard]] std::string to_string(IterationProfile profile);
 

@@ -608,6 +608,19 @@ TEST(ScenarioIo, MalformedInputSweepIsMemorySafe) {
   EXPECT_NO_THROW(parse_scenario_text(base));
 }
 
+// Every domain test fails for NaN, so "nan" is rejected where a key's
+// domain is an inequality such as ">= 0" (a NaN failure time would never
+// fire).
+TEST(ScenarioIo, RejectsNanInBoundedKeys) {
+  const std::string base = kMinimalScenario;
+  EXPECT_THROW(parse_scenario_text(base + "\n[channel]\nburst-gap-mean = nan\n"),
+               std::runtime_error);
+  EXPECT_THROW(parse_scenario_text(base + "\n[channel]\nburst-duration = nan\n"),
+               std::runtime_error);
+  EXPECT_THROW(parse_scenario_text(base + "\n[failure]\nworker = 0\ntime = nan\n"),
+               std::runtime_error);
+}
+
 // Format oracle: the bytes scenario_to_text writes for the paper scenario,
 // for a scenario that sets every key of every optional section to a
 // non-default value (including numbers past the writer's six significant
