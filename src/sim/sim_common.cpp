@@ -131,7 +131,7 @@ void validate_failures(const std::vector<SimConfig::Failure>& failures,
           " (at most one failure per worker)");
     }
     seen[failure.worker] = true;
-    if (failure.time < 0.0) {
+    if (!(failure.time >= 0.0)) {
       throw std::invalid_argument("simulate_loop: failure time must be >= 0");
     }
     switch (failure.kind) {

@@ -1,6 +1,7 @@
 // Tests for the message-passing master-worker model and failure injection.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -314,6 +315,10 @@ TEST(FailureInjection, Validation) {
   const auto app = simple_app("a", 0, 10, {10.0});
   SimConfig config = deterministic_config();
   config.failures.push_back({9, 1.0, 0.5});  // unknown worker
+  EXPECT_THROW(simulate_loop(app, 0, 2, full_availability(1), dls::TechniqueId::kSS, config, 1),
+               std::invalid_argument);
+  // A degradation at a NaN time would never fire.
+  config.failures = {{0, std::numeric_limits<double>::quiet_NaN(), 0.5}};
   EXPECT_THROW(simulate_loop(app, 0, 2, full_availability(1), dls::TechniqueId::kSS, config, 1),
                std::invalid_argument);
   EXPECT_THROW(sysmodel::FailingAvailability(nullptr, 1.0, 0.5), std::invalid_argument);
