@@ -80,8 +80,10 @@ void require_feasible_instance(const RobustnessEvaluator& evaluator,
 }
 
 /// Greedy commitment loop shared by MinMin / MaxMin / Sufferage. `pick`
-/// receives, for every unassigned application, its option list, and must
-/// return the (application index within `unassigned`, option) to commit.
+/// receives the unassigned applications and the round's option list (the
+/// same for every application: the groups that leave one processor for
+/// each other unassigned application), and must return the (application
+/// index within `unassigned`, option) to commit.
 template <typename Picker>
 Allocation commit_loop(const RobustnessEvaluator& evaluator, const sysmodel::Platform& platform,
                        CountRule rule, Picker pick) {
@@ -93,13 +95,10 @@ Allocation commit_loop(const RobustnessEvaluator& evaluator, const sysmodel::Pla
   for (std::size_t i = 0; i < n; ++i) unassigned[i] = i;
 
   while (!unassigned.empty()) {
-    const std::size_t reserve = unassigned.size() - 1;
-    std::vector<std::vector<GroupAssignment>> options(unassigned.size());
-    for (std::size_t k = 0; k < unassigned.size(); ++k) {
-      options[k] = feasible_options(remaining, rule, reserve);
-      if (options[k].empty()) {
-        throw std::runtime_error("RA heuristic: no feasible group for an application");
-      }
+    const std::vector<GroupAssignment> options =
+        feasible_options(remaining, rule, unassigned.size() - 1);
+    if (options.empty()) {
+      throw std::runtime_error("RA heuristic: no feasible group for an application");
     }
     const auto [k, choice] = pick(unassigned, options);
     groups[unassigned[k]] = choice;
@@ -141,10 +140,10 @@ Allocation batch_order_start(const RobustnessEvaluator& evaluator,
                              const sysmodel::Platform& platform, CountRule rule) {
   return commit_loop(evaluator, platform, rule,
                      [&](const std::vector<std::size_t>& unassigned,
-                         const std::vector<std::vector<GroupAssignment>>& options) {
+                         const std::vector<GroupAssignment>& options) {
                        return std::make_pair(
                            std::size_t{0},
-                           best_by_probability(evaluator, unassigned[0], options[0]));
+                           best_by_probability(evaluator, unassigned[0], options));
                      });
 }
 
@@ -304,14 +303,14 @@ Allocation GreedyRobustness::allocate(const RobustnessEvaluator& evaluator,
   Allocation allocation = commit_loop(
       evaluator, platform, rule,
       [&](const std::vector<std::size_t>& unassigned,
-          const std::vector<std::vector<GroupAssignment>>& options) {
+          const std::vector<GroupAssignment>& options) {
         // Assign in batch order; restrict to single-processor groups so the
         // hill climb starts minimal.
         std::vector<GroupAssignment> singles;
-        for (const GroupAssignment& option : options[0]) {
+        for (const GroupAssignment& option : options) {
           if (option.processors == 1) singles.push_back(option);
         }
-        const auto& pool = singles.empty() ? options[0] : singles;
+        const auto& pool = singles.empty() ? options : singles;
         return std::make_pair(std::size_t{0},
                               best_by_probability(evaluator, unassigned[0], pool));
       });
@@ -385,12 +384,12 @@ Allocation MinMinExpected::allocate(const RobustnessEvaluator& evaluator,
   return commit_loop(
       evaluator, platform, rule,
       [&](const std::vector<std::size_t>& unassigned,
-          const std::vector<std::vector<GroupAssignment>>& options) {
+          const std::vector<GroupAssignment>& options) {
         std::size_t best_k = 0;
         GroupAssignment best_option{};
         double best_time = std::numeric_limits<double>::infinity();
         for (std::size_t k = 0; k < unassigned.size(); ++k) {
-          for (const GroupAssignment& option : options[k]) {
+          for (const GroupAssignment& option : options) {
             const double t = evaluator.expected_completion(unassigned[k], option);
             if (t < best_time) {
               best_time = t;
@@ -410,7 +409,7 @@ Allocation MaxMinExpected::allocate(const RobustnessEvaluator& evaluator,
   return commit_loop(
       evaluator, platform, rule,
       [&](const std::vector<std::size_t>& unassigned,
-          const std::vector<std::vector<GroupAssignment>>& options) {
+          const std::vector<GroupAssignment>& options) {
         // For each application, its best (minimum) expected completion;
         // commit the application whose best is the worst.
         std::size_t best_k = 0;
@@ -419,7 +418,7 @@ Allocation MaxMinExpected::allocate(const RobustnessEvaluator& evaluator,
         for (std::size_t k = 0; k < unassigned.size(); ++k) {
           double app_best = std::numeric_limits<double>::infinity();
           GroupAssignment app_option{};
-          for (const GroupAssignment& option : options[k]) {
+          for (const GroupAssignment& option : options) {
             const double t = evaluator.expected_completion(unassigned[k], option);
             if (t < app_best) {
               app_best = t;
@@ -443,7 +442,7 @@ Allocation SufferageRobust::allocate(const RobustnessEvaluator& evaluator,
   return commit_loop(
       evaluator, platform, rule,
       [&](const std::vector<std::size_t>& unassigned,
-          const std::vector<std::vector<GroupAssignment>>& options) {
+          const std::vector<GroupAssignment>& options) {
         std::size_t best_k = 0;
         GroupAssignment best_option{};
         double best_sufferage = -1.0;
@@ -451,7 +450,7 @@ Allocation SufferageRobust::allocate(const RobustnessEvaluator& evaluator,
           double best_p = 0.0;
           double second_p = 0.0;
           const GroupAssignment option =
-              best_by_probability(evaluator, unassigned[k], options[k], &best_p, &second_p);
+              best_by_probability(evaluator, unassigned[k], options, &best_p, &second_p);
           const double sufferage = best_p - second_p;
           if (sufferage > best_sufferage) {
             best_sufferage = sufferage;
