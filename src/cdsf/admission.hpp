@@ -83,7 +83,7 @@ enum class DegradationTier : std::uint8_t {
   kNormal = 0,
   /// Tighten speculation: executions run with speculative re-execution
   /// forced on (or the straggler quantile tightened by
-  /// Speculation::escalation_factor when it already is) — protect the
+  /// Speculation::kEscalationFactor when it already is) — protect the
   /// deadlines of admitted work first.
   kTightSpeculation = 1,
   /// Shed replication/audit overheads: audit re-execution

@@ -84,14 +84,14 @@ AdmissionEstimate make_estimate(const ra::RobustnessEvaluator& laws, std::size_t
 }
 
 /// Hedges an at-risk execution: speculative re-execution on or, when it
-/// already is, the straggler quantile tightened by escalation_factor
-/// (floored at min_quantile).
+/// already is, the straggler quantile tightened by
+/// Speculation::kEscalationFactor (floored at min_quantile).
 void escalate(sim::SimConfig::Speculation& speculation) {
   if (!speculation.enabled) {
     speculation.enabled = true;
   } else {
-    speculation.quantile =
-        std::max(speculation.min_quantile, speculation.quantile * speculation.escalation_factor);
+    speculation.quantile = std::max(speculation.min_quantile,
+                                    speculation.quantile * speculation.kEscalationFactor);
   }
 }
 

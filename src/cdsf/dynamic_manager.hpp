@@ -60,7 +60,7 @@ struct DynamicConfig {
   /// application whose allocation-time success probability falls below
   /// `speculation_risk_floor` executes with speculative chunk re-execution
   /// enabled (sim.speculation forced on; if it is already on, the straggler
-  /// quantile is tightened by sim.speculation.escalation_factor instead,
+  /// quantile is tightened by Speculation::kEscalationFactor instead,
   /// floored at sim.speculation.min_quantile).
   bool escalate_speculation_on_risk = false;
   double speculation_risk_floor = 0.5;

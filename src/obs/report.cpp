@@ -424,7 +424,7 @@ Json make_chaos_report(const sim::ChaosReport& report, const sim::ChaosConfig& c
   campaign.set("schedules", config.schedules);
   campaign.set("seed", config.seed);
   campaign.set("processors", config.processors);
-  campaign.set("serial_iterations", config.serial_iterations);
+  campaign.set("serial_iterations", sim::ChaosConfig::kSerialIterations);
   campaign.set("parallel_iterations", config.parallel_iterations);
   campaign.set("max_failures", config.max_failures);
   campaign.set("include_mpi", config.include_mpi);

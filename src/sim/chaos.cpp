@@ -91,7 +91,7 @@ Schedule draw_schedule(const ChaosConfig& config, util::RngStream& rng,
   // Rough makespan scale: total dedicated time over the group at the
   // availability law's midpoint — failure times land inside the run.
   const double est_makespan =
-      (static_cast<double>(config.serial_iterations) +
+      (static_cast<double>(ChaosConfig::kSerialIterations) +
        static_cast<double>(config.parallel_iterations) /
            static_cast<double>(config.processors)) /
       0.6;
@@ -541,7 +541,7 @@ ChaosReport run_chaos_campaign(const ChaosConfig& config) {
   if (config.processors < 2) {
     throw std::invalid_argument("run_chaos_campaign: processors must be >= 2");
   }
-  if (config.parallel_iterations <= 0 || config.serial_iterations < 0) {
+  if (config.parallel_iterations <= 0) {
     throw std::invalid_argument("run_chaos_campaign: bad iteration counts");
   }
   if (config.max_failures == 0 || config.max_failures >= config.processors) {
@@ -555,9 +555,9 @@ ChaosReport run_chaos_campaign(const ChaosConfig& config) {
   // One application and availability law shared by every schedule: the
   // chaos variation lives in the fault schedules, not the workload.
   const double total_time =
-      static_cast<double>(config.serial_iterations + config.parallel_iterations);
+      static_cast<double>(ChaosConfig::kSerialIterations + config.parallel_iterations);
   const workload::Application application(
-      "chaos", config.serial_iterations, config.parallel_iterations,
+      "chaos", ChaosConfig::kSerialIterations, config.parallel_iterations,
       {workload::TimeLaw{workload::TimeLawKind::kNormal, total_time, 0.2}});
   const sysmodel::AvailabilitySpec availability(
       "chaos", {pmf::Pmf::uniform_over({0.4, 0.7, 1.0})});

@@ -58,7 +58,7 @@ struct ChaosConfig {
   std::uint64_t seed = 2026;
   /// Loop shape shared by every schedule.
   std::size_t processors = 6;
-  std::int64_t serial_iterations = 24;
+  static constexpr std::int64_t kSerialIterations = 24;
   std::int64_t parallel_iterations = 600;
   /// Failures injected per schedule (drawn in [1, max_failures], always on
   /// workers >= 1 so the serial phase survives).

@@ -138,12 +138,8 @@ std::string render_gantt(const RunResult& result, const GanttOptions& options) {
     if (options.deadline > 0.0 && options.deadline <= horizon) {
       rows[w][column(options.deadline)] = '|';
     }
-    out << "worker " << w << " | " << rows[w];
-    if (options.show_stats) {
-      out << "  (" << result.workers[w].chunks << " chunks, " << result.workers[w].iterations
-          << " iters)";
-    }
-    out << "\n";
+    out << "worker " << w << " | " << rows[w] << "  (" << result.workers[w].chunks
+        << " chunks, " << result.workers[w].iterations << " iters)\n";
   }
   out << "time 0 .. " << result.makespan;
   if (options.deadline > 0.0) out << "   ('|' = deadline " << options.deadline << ")";

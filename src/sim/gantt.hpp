@@ -15,8 +15,6 @@ struct GanttOptions {
   std::size_t width = 100;
   /// Mark the deadline with a '|' column when > 0 and within range.
   double deadline = 0.0;
-  /// Show per-worker chunk/iteration counts in the row label.
-  bool show_stats = true;
 };
 
 /// Renders the chunks of `result` (which must have been produced with

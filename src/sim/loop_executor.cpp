@@ -255,7 +255,7 @@ RunResult run_ideal_loop(const workload::Application& application, const SimConf
           if (p < config.deadline_risk.risk_floor &&
               ledger.quantile > config.speculation.min_quantile) {
             ledger.quantile = std::max(config.speculation.min_quantile,
-                                       ledger.quantile * config.speculation.escalation_factor);
+                                       ledger.quantile * SimConfig::Speculation::kEscalationFactor);
             result.speculation.risk_escalations += 1;
             events.emit(obs::FlightEventKind::kRiskEscalated, engine.now(),
                         obs::kFlightMasterTrack,

@@ -258,13 +258,10 @@ struct SimConfig {
     /// Straggler threshold in sigmas: elapsed > mu + quantile * sigma of
     /// the chunk's expected compute time flags the chunk.
     double quantile = 3.0;
-    /// Lower bound on any straggler threshold (guards tiny chunks whose
-    /// sigma is smaller than the scheduling overhead).
-    double min_elapsed = 1.0;
+    double min_quantile = 0.5;
     /// Deadline-risk escalation multiplies the quantile by this factor
     /// (more aggressive speculation) down to min_quantile.
-    double escalation_factor = 0.5;
-    double min_quantile = 0.5;
+    static constexpr double kEscalationFactor = 0.5;
   };
   Speculation speculation;
   /// Deadline-risk monitor above the speculation layer (idealized

@@ -43,9 +43,7 @@ void validate_config(const SimConfig& config) {
     throw std::invalid_argument("SimConfig: fault_detection knobs out of domain");
   }
   const SimConfig::Speculation& sp = config.speculation;
-  if (!(sp.quantile > 0.0) || !(sp.min_elapsed > 0.0) ||
-      !(sp.escalation_factor > 0.0 && sp.escalation_factor < 1.0) ||
-      !(sp.min_quantile > 0.0) || sp.min_quantile > sp.quantile) {
+  if (!(sp.quantile > 0.0) || !(sp.min_quantile > 0.0) || sp.min_quantile > sp.quantile) {
     throw std::invalid_argument("SimConfig: speculation knobs out of domain");
   }
   const ChannelModel& ch = config.channel;
@@ -702,8 +700,9 @@ double ChunkLedger::straggler_threshold(std::size_t w, std::int64_t count, doubl
   const double estimate = technique_.estimated_iteration_time(w);
   const double mu_it = estimate > 0.0 ? estimate : fallback;
   const double n = static_cast<double>(count);
-  return std::max(speculation_.min_elapsed,
-                  mu_it * n + quantile * input_factor_ * stddev_iter * std::sqrt(n));
+  // Guards tiny chunks whose sigma is smaller than the scheduling overhead.
+  constexpr double kMinElapsed = 1.0;
+  return std::max(kMinElapsed, mu_it * n + quantile * input_factor_ * stddev_iter * std::sqrt(n));
 }
 
 std::size_t ChunkLedger::take_idle(std::size_t except) {

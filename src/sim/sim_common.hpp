@@ -524,8 +524,8 @@ class ChunkLedger {
                    double end, bool lost, bool probe, std::size_t primary = kNone);
 
   /// Elapsed time past a chunk's start beyond which it is a straggler: the
-  /// expected compute time plus `quantile` sigmas, never below
-  /// min_elapsed. The per-iteration time is the technique's runtime
+  /// expected compute time plus `quantile` sigmas, never below one time
+  /// unit. The per-iteration time is the technique's runtime
   /// estimate when it has one (AWF/AF), else the a-priori `fallback`.
   [[nodiscard]] double straggler_threshold(std::size_t w, std::int64_t count, double fallback,
                                            double stddev_iter) const;

@@ -15,6 +15,10 @@ namespace cdsf::svc {
 
 namespace {
 
+/// Phase B thread counts compared for byte-identity.
+constexpr std::size_t kThreadsA = 1;
+constexpr std::size_t kThreadsB = 4;
+
 /// id -> terminal record for one run.
 std::unordered_map<std::uint64_t, const RequestRecord*> by_id(const ServiceRunResult& result) {
   std::unordered_map<std::uint64_t, const RequestRecord*> map;
@@ -43,7 +47,6 @@ ServiceChaosReport run_service_chaos_campaign(const ServiceChaosConfig& config) 
   }
   ServiceChaosReport report;
   const util::SeedSequence seeds(config.seed);
-  const std::string dir = config.journal_dir.empty() ? "." : config.journal_dir;
 
   for (std::size_t schedule = 0; schedule < config.schedules; ++schedule) {
     const std::uint64_t seed = seeds.child(schedule);
@@ -70,18 +73,18 @@ ServiceChaosReport run_service_chaos_campaign(const ServiceChaosConfig& config) 
 
     // --- Determinism axis: same stream, two Phase B thread counts. ---
     ServiceConfig config_a = base;
-    config_a.solve_threads = config.threads_a;
-    config_a.journal_path = dir + "/svc_chaos_det_" + std::to_string(schedule) + ".jsonl";
+    config_a.solve_threads = kThreadsA;
+    config_a.journal_path = "./svc_chaos_det_" + std::to_string(schedule) + ".jsonl";
     const ServiceRunResult run_a = SchedulingService(config_a).run(stream);
 
     ServiceConfig config_b = base;
-    config_b.solve_threads = config.threads_b;  // no journal: bytes must not care
+    config_b.solve_threads = kThreadsB;  // no journal: bytes must not care
     const ServiceRunResult run_b = SchedulingService(config_b).run(stream);
 
     if (run_a.report.dump(2) != run_b.report.dump(2)) {
       violate("determinism", "service report differs between solve_threads " +
-                                 std::to_string(config.threads_a) + " and " +
-                                 std::to_string(config.threads_b));
+                                 std::to_string(kThreadsA) + " and " +
+                                 std::to_string(kThreadsB));
     }
     if (!run_a.drained) violate("drain", "no-crash run did not drain");
     if (!run_a.admission.identity_holds()) {
@@ -97,10 +100,9 @@ ServiceChaosReport run_service_chaos_campaign(const ServiceChaosConfig& config) 
     }
 
     // --- Crash/restart axis: daemon dies mid-stream, replays exactly once. ---
-    const std::string crash_path =
-        dir + "/svc_chaos_crash_" + std::to_string(schedule) + ".jsonl";
+    const std::string crash_path = "./svc_chaos_crash_" + std::to_string(schedule) + ".jsonl";
     ServiceConfig config_crash = base;
-    config_crash.solve_threads = config.threads_a;
+    config_crash.solve_threads = kThreadsA;
     config_crash.journal_path = crash_path;
     // Crash at a mid-stream arrival: later arrivals are strictly after it
     // (arrival times strictly increase), so the cutoff always fires.
@@ -147,7 +149,7 @@ ServiceChaosReport run_service_chaos_campaign(const ServiceChaosConfig& config) 
       }
     }
     ServiceConfig config_restart = base;
-    config_restart.solve_threads = config.threads_b;
+    config_restart.solve_threads = kThreadsB;
     config_restart.journal_path = crash_path;
     config_restart.journal_truncate = false;
     const ServiceRunResult run_restart = SchedulingService(config_restart).run(restart_stream);

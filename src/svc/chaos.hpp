@@ -37,14 +37,9 @@ struct ServiceChaosConfig {
   std::size_t shards = 2;
   double poison_fraction = 0.15;
   double hang_fraction = 0.15;
-  /// Phase B thread counts compared for byte-identity.
-  std::size_t threads_a = 1;
-  std::size_t threads_b = 4;
   /// Stage II replications per real solve (kept small: every schedule
   /// solves every delivered request multiple times).
   std::size_t replications = 3;
-  /// Directory for the per-schedule journal files ("" = current dir).
-  std::string journal_dir;
 };
 
 struct ServiceChaosViolation {
