@@ -90,8 +90,9 @@ void escalate(sim::SimConfig::Speculation& speculation) {
   if (!speculation.enabled) {
     speculation.enabled = true;
   } else {
-    speculation.quantile = std::max(speculation.min_quantile,
-                                    speculation.quantile * speculation.kEscalationFactor);
+    speculation.quantile =
+        std::max(speculation.min_quantile,
+                 speculation.quantile * sim::SimConfig::Speculation::kEscalationFactor);
   }
 }
 
