@@ -574,10 +574,13 @@ std::string scenario_to_text(const Scenario& scenario) {
   for (const workload::Application& app : scenario.batch) {
     std::vector<double> means;
     for (std::size_t j = 0; j < app.type_count(); ++j) means.push_back(app.mean_time(j));
-    const RawApplication raw{app.name(),         0,
-                             app.serial_iterations(), app.parallel_iterations(),
-                             std::move(means),   app.time_law(0).cov,
-                             app.time_law(0).kind, app.profile()};
+    const RawApplication raw{.name = app.name(),
+                             .serial = app.serial_iterations(),
+                             .parallel = app.parallel_iterations(),
+                             .means = std::move(means),
+                             .cov = app.time_law(0).cov,
+                             .law = app.time_law(0).kind,
+                             .profile = app.profile()};
     write_section(out, schema.application, raw, app.name());
   }
   write_section(out, schema.deadline, scenario);
